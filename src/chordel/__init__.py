@@ -57,7 +57,6 @@ from .recognition import (
     PerfectEliminationOrdering,
     SplitPartition,
     Verdict,
-    are_isomorphic,
     chordal_peo,
     enumerate_split_partitions,
     f_free,

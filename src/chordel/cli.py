@@ -12,6 +12,7 @@ import hashlib
 import json
 import sys
 import time
+from contextlib import contextmanager
 
 from . import randgen
 from .graph import DeletionResult, Graph, GraphInputError, delete_vertices, vset
@@ -102,6 +103,16 @@ def parse_class_label(text: str) -> ClassLabel:
 
 def _labelled(ids, labels: list[str]) -> list[str]:
     return [labels[v] for v in ids]
+
+
+@contextmanager
+def _witness_in(labels: list[str]):
+    """Re-raise a precondition failure with its witness in the input's labels."""
+    try:
+        yield
+    except NotInClassError as exc:
+        witness = exc.witness and tuple(_labelled(exc.witness, labels))
+        raise NotInClassError(exc.class_name, witness, exc.witness_name) from None
 
 
 def _cmd_recognize(args, fmt: str) -> int:
@@ -217,7 +228,8 @@ def _cmd_solve(args, fmt: str) -> int:
     for path in args.inputs:
         g, labels = _load_graph(path)
         t0 = time.perf_counter()
-        result = _solve_one(args, g)
+        with _witness_in(labels):
+            result = _solve_one(args, g)
         elapsed = (time.perf_counter() - t0) * 1000
         report = {
             "command": "solve",
@@ -289,7 +301,8 @@ def _cmd_reduce(args, fmt: str) -> int:
         out = reduce_chain_to_threshold(g, Bipartition(*sides))
         out_labels = labels
     elif pair == ("threshold", "interval"):
-        out = reduce_threshold_to_interval(g)
+        with _witness_in(labels):
+            out = reduce_threshold_to_interval(g)
         out_labels = labels + [f"_g{i}" for i in range(g.n, out.n)]
     elif pair == ("vc", "f-free"):
         if not args.pattern:

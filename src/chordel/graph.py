@@ -164,10 +164,6 @@ def is_independent(g: Graph, s: Iterable[int]) -> bool:
     return not any(g.has_edge(u, v) for i, u in enumerate(ss) for v in ss[i + 1 :])
 
 
-def is_connected(g: Graph) -> bool:
-    return g.n <= 1 or len(connected_components(g)) == 1
-
-
 def disjoint_union(g1: Graph, g2: Graph) -> Graph:
     """g1 followed by g2, with g2's ids shifted up by g1.n."""
     off = g1.n

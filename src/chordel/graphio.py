@@ -164,12 +164,14 @@ def from_graph6(line: str) -> Graph:
 
 
 def sniff_and_parse(text: str) -> tuple[Graph, list[str]]:
-    """Parse either format: 'n m' header means edge list, else graph6."""
+    """Parse either format: 'n m' header means edge list, else one graph6 line."""
     lines = _data_lines(text)
     if not lines:
         raise GraphInputError("empty graph input")
     head = lines[0].split()
     if len(head) == 2 and all(t.lstrip("-").isdigit() for t in head):
         return parse_edge_list(text)
+    if len(lines) > 1:
+        raise GraphInputError(f"graph6 input holds {len(lines)} graphs; give one per file")
     g = from_graph6(lines[0])
     return g, [str(i) for i in range(g.n)]

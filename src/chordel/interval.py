@@ -1,10 +1,10 @@
 """Interval models and the sweep solvers that run on them.
 
-Endpoints are exact rationals, never floats.  The solvers assume general
-position (all 2n endpoints distinct); models that violate it are repaired
-first by an order-preserving re-spacing onto the integers 1..2n, with ties
-resolved so that the intersection graph is unchanged (left endpoints come
-before right endpoints at equal coordinates).
+Endpoints are exact rationals, never floats.  The solvers only compare
+endpoints, so they first rank all 2n of them onto the integers 1..2n, with
+ties resolved so that the intersection graph is unchanged (left endpoints
+come before right endpoints at equal coordinates), and sweep over those int
+ranks.  The ranked model is in general position: all 2n endpoints distinct.
 """
 
 from __future__ import annotations
@@ -53,26 +53,31 @@ class IntervalModel:
         so touching intervals keep touching; ties within a kind break by
         vertex id.
         """
-        events = []
-        for v, (l, r) in enumerate(self.intervals):
-            events.append((l, 0, v))
-            events.append((r, 1, v))
-        events.sort()
         spots: dict[tuple[int, int], Fraction] = {}
-        for pos, (_, kind, v) in enumerate(events, start=1):
+        for pos, (_, kind, v) in enumerate(_events(self), start=1):
             spots[(kind, v)] = Fraction(pos)
         return IntervalModel(
             tuple((spots[(0, v)], spots[(1, v)]) for v in range(self.n))
         )
 
 
+def _events(m: IntervalModel) -> list[tuple[Fraction, int, int]]:
+    """(coordinate, 0 for left or 1 for right, vertex), in sweep order."""
+    return sorted(
+        (x, kind, v) for v, ends in enumerate(m.intervals) for kind, x in enumerate(ends)
+    )
+
+
 def model_to_graph(m: IntervalModel) -> Graph:
-    """Intersection graph of the closed intervals."""
-    edges = []
-    for u in range(m.n):
-        for v in range(u + 1, m.n):
-            if max(m.left(u), m.left(v)) <= min(m.right(u), m.right(v)):
-                edges.append((u, v))
+    """Intersection graph of the closed intervals, by one endpoint sweep."""
+    edges: list[tuple[int, int]] = []
+    active: set[int] = set()
+    for _, kind, v in _events(m):
+        if kind:
+            active.remove(v)
+        else:
+            edges += ((u, v) for u in active)
+            active.add(v)
     return Graph.from_edges(m.n, edges)
 
 
@@ -105,8 +110,10 @@ def write_interval_model(m: IntervalModel, labels: list[str] | None = None) -> s
     return "\n".join(lines) + "\n"
 
 
-def _prepared(m: IntervalModel) -> IntervalModel:
-    return m if m.is_general_position() else m.normalized()
+def _prepared(m: IntervalModel) -> tuple[IntervalModel, list[int], list[int]]:
+    """The model re-spaced onto ranks 1..2n, and its left and right ranks."""
+    m = m.normalized()
+    return m, [int(l) for l, _ in m.intervals], [int(r) for _, r in m.intervals]
 
 
 def max_clique_window(m: IntervalModel, lo, hi) -> VertexSet:
@@ -134,25 +141,6 @@ def max_clique_window(m: IntervalModel, lo, hi) -> VertexSet:
     return best
 
 
-def _max_clique_global(m: IntervalModel) -> VertexSet:
-    if m.n == 0:
-        return ()
-    lo = min(m.left(v) for v in range(m.n))
-    hi = max(m.right(v) for v in range(m.n))
-    return max_clique_window(m, lo, hi)
-
-
-def _greedy_interval_mis(m: IntervalModel, members: list[int]) -> VertexSet:
-    """Maximum set of pairwise disjoint intervals: earliest right end first."""
-    chosen = []
-    frontier = None
-    for v in sorted(members, key=lambda v: (m.right(v), v)):
-        if frontier is None or m.left(v) > frontier:
-            chosen.append(v)
-            frontier = m.right(v)
-    return vset(chosen)
-
-
 def max_complete_split_subgraph(m: IntervalModel) -> VertexSet:
     """Largest vertex set whose induced subgraph is a complete split graph.
 
@@ -161,30 +149,60 @@ def max_complete_split_subgraph(m: IntervalModel) -> VertexSet:
     so the clique is exactly the intervals containing [alpha, beta] and the
     rest of I is a maximum independent set strictly inside (alpha, beta).
     All O(n^2) extreme pairs are enumerated; a pure clique covers |I| <= 1.
+    Per alpha, the greedy earliest-right-end chain of the intervals right of
+    alpha is built once: its prefix ending before beta is that independent
+    set.  Candidate sets are only built when their size can win.
     """
-    m = _prepared(m)
-    best = _max_clique_global(m)
+    m, lo, hi = _prepared(m)
+    best = max_clique_window(m, 1, 2 * m.n)  # the ranks span 1..2n
+    by_right = sorted(range(m.n), key=hi.__getitem__)
     for vl in range(m.n):
-        alpha = m.right(vl)
+        alpha = hi[vl]
+        chain, chain_ends = [], []
+        for v in by_right:
+            if lo[v] > (chain_ends[-1] if chain_ends else alpha):
+                chain.append(v)
+                chain_ends.append(hi[v])
+        through = sorted((v for v in range(m.n) if lo[v] < alpha), key=lambda v: -hi[v])
+        through_ends = [-hi[v] for v in through]
         for vr in range(m.n):
-            beta = m.left(vr)
-            if vr == vl or alpha >= beta:
+            beta = lo[vr]
+            if alpha >= beta:
                 continue
-            cliq = [
-                v
-                for v in range(m.n)
-                if m.left(v) <= alpha and beta <= m.right(v)
-            ]
-            inside = [
-                v
-                for v in range(m.n)
-                if alpha < m.left(v) and m.right(v) < beta
-            ]
-            cand = vset(set(cliq) | {vl, vr} | set(_greedy_interval_mis(m, inside)))
-            if len(cand) > len(best) or (len(cand) == len(best) and cand < best):
+            n_cliq = bisect.bisect_right(through_ends, -beta)
+            n_mis = bisect.bisect_left(chain_ends, beta)
+            if n_cliq + 2 + n_mis < len(best):
+                continue
+            cand = vset(through[:n_cliq] + [vl, vr] + chain[:n_mis])
+            if len(cand) > len(best) or cand < best:
                 best = cand
     _verify(m, best, COMPLETE_SPLIT)
     return best
+
+
+def _window_sizes(lo: list[int], hi: list[int]) -> list[tuple[int, int, int, int, int]]:
+    """(hi[b], lo[a], a, b, size): each window [lo[a], hi[b]] holding an
+    interval, with its maximum clique size, by one sweep per left end.
+
+    Members enter by right end.  A clique is the set of members through the
+    least right end among them, so the size is the largest count of members
+    through a member's right end; v adds one to the counts from l(v) on.
+    """
+    by_right = sorted(range(len(lo)), key=hi.__getitem__)
+    out = []
+    for a, start in enumerate(lo):
+        ends, counts, size = [], [], 0
+        for b in by_right:
+            if hi[b] < start:
+                continue
+            if lo[b] >= start:
+                i = bisect.bisect_left(ends, lo[b])
+                counts[i:] = [c + 1 for c in counts[i:]] + [1]
+                ends.append(hi[b])
+                size = max(size, max(counts[i:]))
+            if size:
+                out.append((hi[b], start, a, b, size))
+    return out
 
 
 def max_cluster_subgraph(m: IntervalModel) -> VertexSet:
@@ -192,40 +210,34 @@ def max_cluster_subgraph(m: IntervalModel) -> VertexSet:
 
     Every clique of an optimal solution lives in a window spanned by one
     left and one right endpoint, and the windows of distinct cliques are
-    disjoint.  Build all windows weighted by their maximum clique size and
-    take a maximum-weight disjoint subfamily by the classic dynamic program
-    over windows sorted by right endpoint.
+    disjoint.  Weigh all windows by their maximum clique size and take a
+    maximum-weight disjoint subfamily by the classic dynamic program over
+    windows sorted by right endpoint; only the windows it picks are swept
+    for their actual clique.
     """
-    m = _prepared(m)
+    m, lo, hi = _prepared(m)
     if m.n == 0:
         return ()
-    windows = []
-    for va in range(m.n):
-        lo = m.left(va)
-        for vb in range(m.n):
-            hi = m.right(vb)
-            if lo >= hi:
-                continue
-            cliq = max_clique_window(m, lo, hi)
-            if cliq:
-                windows.append((hi, lo, cliq))
-    windows.sort()
+    windows = sorted(_window_sizes(lo, hi))
 
     rights = [w[0] for w in windows]
     k = len(windows)
     dp = [0] * (k + 1)
     for j in range(1, k + 1):
-        hi, lo, cliq = windows[j - 1]
-        prev = bisect.bisect_left(rights, lo)
-        dp[j] = max(dp[j - 1], dp[prev] + len(cliq))
+        right, left, _, _, size = windows[j - 1]
+        prev = bisect.bisect_left(rights, left)
+        dp[j] = max(dp[j - 1], dp[prev] + size)
 
-    chosen: list[tuple[Fraction, Fraction, VertexSet]] = []
+    chosen: list[tuple[int, int, VertexSet]] = []
     j = k
     while j > 0:
-        hi, lo, cliq = windows[j - 1]
-        prev = bisect.bisect_left(rights, lo)
-        if dp[prev] + len(cliq) > dp[j - 1]:
-            chosen.append((lo, hi, cliq))
+        right, left, va, vb, size = windows[j - 1]
+        prev = bisect.bisect_left(rights, left)
+        if dp[prev] + size > dp[j - 1]:
+            cliq = max_clique_window(m, m.left(va), m.right(vb))
+            if len(cliq) != size:
+                raise AssertionError("window sweep disagrees with its size table")
+            chosen.append((left, right, cliq))
             j = prev
         else:
             j -= 1

@@ -66,14 +66,26 @@ def _hopcroft_karp(
         if not reached_free:
             return match_l, match_r
 
-        def augment(l: int) -> bool:
-            for r in adj[l]:
-                nxt = match_r.get(r)
-                if nxt is None or (dist.get(nxt) == dist[l] + 1 and augment(nxt)):
-                    match_l[l] = r
-                    match_r[r] = l
-                    return True
-            dist[l] = _INF
+        def augment(root: int) -> bool:
+            # depth-first along the layers with an explicit stack, so long
+            # alternating chains stay clear of the recursion limit
+            stack, taken = [(root, iter(adj[root]))], []  # taken: right per level
+            while stack:
+                l, rest = stack[-1]
+                for r in rest:
+                    nxt = match_r.get(r)
+                    if nxt is None:
+                        for (u, _), w in zip(stack, taken + [r]):
+                            match_l[u], match_r[w] = w, u
+                        return True
+                    if dist.get(nxt) == dist[l] + 1:
+                        taken.append(r)
+                        stack.append((nxt, iter(adj[nxt])))
+                        break
+                else:
+                    dist[l] = _INF
+                    stack.pop()
+                    del taken[-1:]
             return False
 
         for l in lefts:

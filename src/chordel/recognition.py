@@ -447,9 +447,30 @@ def _first_obstruction(
     return Verdict(True)
 
 
+def _certified(g: Graph, name: str) -> bool:
+    """Linear-time proof of membership for three classes; False elsewhere."""
+    if name == "cluster":  # adjacent vertices have equal closed neighbourhoods:
+        # checking each vertex against the least vertex of its own suffices
+        closed = [g.closed_neighborhood(v) for v in g.vertices()]
+        return all(c == closed[min(c)] for c in closed)
+    if name == "2k2p3":  # the non-isolated vertices form one clique
+        busy = frozenset(v for v in g.vertices() if g.adj[v])
+        return all(g.closed_neighborhood(v) == busy for v in busy)
+    if name == "complete-split":  # non-universal vertices see only universal ones
+        rest = [v for v in g.vertices() if g.degree(v) < g.n - 1]
+        return all(g.degree(v) == g.n - len(rest) for v in rest)
+    return False
+
+
 def recognize(g: Graph, label: ClassLabel) -> Verdict:
-    """True iff g belongs to the class; otherwise a concrete obstruction."""
+    """True iff g belongs to the class; otherwise a concrete obstruction.
+
+    Where `_certified` has a certificate it is tried first, and the
+    obstruction search runs only if it fails.
+    """
     name = label.name
+    if _certified(g, name):
+        return Verdict(True)
     if name == "chordal":
         res = chordal_peo(g)
         return Verdict(True) if res.is_chordal else Verdict(False, res.hole, "hole")
@@ -528,36 +549,3 @@ def recognize(g: Graph, label: ClassLabel) -> Verdict:
         return Verdict(False, hit, "pattern") if hit is not None else Verdict(True)
     raise ValueError(f"unknown class label {name!r}")
 
-
-# ---------------------------------------------------------------------------
-# brute-force isomorphism (desk scale)
-
-
-def are_isomorphic(g1: Graph, g2: Graph) -> bool:
-    """Backtracking isomorphism test; intended for graphs up to ~10 vertices."""
-    if g1.n != g2.n or g1.m != g2.m:
-        return False
-    if sorted(map(g1.degree, g1.vertices())) != sorted(map(g2.degree, g2.vertices())):
-        return False
-    order = sorted(g1.vertices(), key=lambda v: (-g1.degree(v), v))
-    image: dict[int, int] = {}
-    used: set[int] = set()
-
-    def extend(k: int) -> bool:
-        if k == g1.n:
-            return True
-        u = order[k]
-        for w in g2.vertices():
-            if w in used or g1.degree(u) != g2.degree(w):
-                continue
-            if any(g1.has_edge(u, x) != g2.has_edge(w, y) for x, y in image.items()):
-                continue
-            image[u] = w
-            used.add(w)
-            if extend(k + 1):
-                return True
-            del image[u]
-            used.remove(w)
-        return False
-
-    return extend(0)

@@ -5,6 +5,7 @@ Deliberately naive so it can be trusted, and kept apart from the library
 paths it checks.
 """
 
+from bisect import bisect_left
 from itertools import combinations, permutations
 
 from chordel import Graph, induced_subgraph
@@ -140,3 +141,112 @@ def is_cluster(g: Graph) -> bool:
                 if not g.has_edge(u, v):
                     return False
     return True
+
+
+def _window_clique(m, lo, hi) -> tuple:
+    """Maximum clique among intervals inside [lo, hi], by a per-window sweep."""
+    members = [v for v in range(m.n) if lo <= m.left(v) and m.right(v) <= hi]
+    events = sorted(
+        [(m.left(v), 0, v) for v in members] + [(m.right(v), 1, v) for v in members]
+    )
+    active: set = set()
+    best: tuple = ()
+    for _, kind, v in events:
+        if kind == 0:
+            active.add(v)
+            if len(active) > len(best):
+                best = tuple(sorted(active))
+        else:
+            active.discard(v)
+    return best
+
+
+def _general_position(m):
+    return m if m.is_general_position() else m.normalized()
+
+
+def interval_cluster(m) -> tuple:
+    """Reference interval -> cluster solver: every window swept on its own
+    over the Fraction endpoints, then the disjoint-window dynamic program."""
+    m = _general_position(m)
+    if m.n == 0:
+        return ()
+    windows = []
+    for va in range(m.n):
+        for vb in range(m.n):
+            lo, hi = m.left(va), m.right(vb)
+            if lo < hi:
+                cliq = _window_clique(m, lo, hi)
+                if cliq:
+                    windows.append((hi, lo, cliq))
+    windows.sort()
+    rights = [w[0] for w in windows]
+    dp = [0] * (len(windows) + 1)
+    for j, (hi, lo, cliq) in enumerate(windows, start=1):
+        dp[j] = max(dp[j - 1], dp[bisect_left(rights, lo)] + len(cliq))
+    kept: list = []
+    j = len(windows)
+    while j > 0:
+        hi, lo, cliq = windows[j - 1]
+        prev = bisect_left(rights, lo)
+        if dp[prev] + len(cliq) > dp[j - 1]:
+            kept.extend(cliq)
+            j = prev
+        else:
+            j -= 1
+    return tuple(sorted(kept))
+
+
+def interval_complete_split(m) -> tuple:
+    """Reference interval -> complete split solver: every extreme pair
+    (alpha, beta) with its clique and greedy independent set built afresh."""
+    m = _general_position(m)
+    best = _window_clique(m, min(m.intervals)[0], max(r for _, r in m.intervals)) if m.n else ()
+    for vl in range(m.n):
+        alpha = m.right(vl)
+        for vr in range(m.n):
+            beta = m.left(vr)
+            if vr == vl or alpha >= beta:
+                continue
+            cand = {vl, vr}
+            cand |= {v for v in range(m.n) if m.left(v) <= alpha and beta <= m.right(v)}
+            frontier = alpha
+            inside = [v for v in range(m.n) if alpha < m.left(v) and m.right(v) < beta]
+            for v in sorted(inside, key=lambda v: (m.right(v), v)):
+                if m.left(v) > frontier:
+                    cand.add(v)
+                    frontier = m.right(v)
+            cand = tuple(sorted(cand))
+            if len(cand) > len(best) or (len(cand) == len(best) and cand < best):
+                best = cand
+    return best
+
+
+def are_isomorphic(g1: Graph, g2: Graph) -> bool:
+    """Backtracking isomorphism test; intended for graphs up to ~10 vertices."""
+    if g1.n != g2.n or g1.m != g2.m:
+        return False
+    if sorted(map(g1.degree, g1.vertices())) != sorted(map(g2.degree, g2.vertices())):
+        return False
+    order = sorted(g1.vertices(), key=lambda v: (-g1.degree(v), v))
+    image: dict[int, int] = {}
+    used: set[int] = set()
+
+    def extend(k: int) -> bool:
+        if k == g1.n:
+            return True
+        u = order[k]
+        for w in g2.vertices():
+            if w in used or g1.degree(u) != g2.degree(w):
+                continue
+            if any(g1.has_edge(u, x) != g2.has_edge(w, y) for x, y in image.items()):
+                continue
+            image[u] = w
+            used.add(w)
+            if extend(k + 1):
+                return True
+            del image[u]
+            used.remove(w)
+        return False
+
+    return extend(0)

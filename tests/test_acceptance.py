@@ -9,6 +9,7 @@ import time
 from itertools import combinations
 
 import bruteforce as bf
+from bruteforce import are_isomorphic
 from chordel import (
     BLOCK,
     CHORDAL,
@@ -22,7 +23,6 @@ from chordel import (
     TWO_K2_P3_FREE,
     UNIT_INTERVAL,
     Graph,
-    are_isomorphic,
     bowtie,
     bowtie_model,
     complement,
@@ -66,7 +66,7 @@ from chordel.randgen import (
 
 def finish(name: str, t0: float, limit: float) -> None:
     elapsed = time.perf_counter() - t0
-    print(f"[acceptance] {name}: PASS in {elapsed:.2f}s (budget {limit:.0f}s)")
+    print(f"[acceptance] {name}: PASS in {elapsed:.2f}s (budget {limit:g}s)")
     assert elapsed < limit, f"{name} exceeded its {limit}s budget"
 
 
@@ -319,3 +319,15 @@ def test_criterion_9_generators_and_containments():
         blk = gen_block(8, s)
         assert recognize(blk, CHORDAL).member
     finish("9 generator/recognizer validation (1000 seeds each)", t0, 120)
+
+
+def test_criterion_10_interval_solvers_at_n80():
+    m = gen_interval_model(80, 1)
+    for name, solver in (
+        ("cluster", max_cluster_subgraph),
+        ("complete split", max_complete_split_subgraph),
+    ):
+        t0 = time.perf_counter()
+        kept = solver(m)
+        assert kept
+        finish(f"10 interval -> {name} at n = 80", t0, 0.25)

@@ -182,3 +182,23 @@ def test_selftest_small(capsys):
     assert main(["selftest", "--seeds", "4"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out.replace("PASS", "")
+
+
+def test_multi_graph_graph6_file_rejected(tmp_path, capsys):
+    multi = tmp_path / "two.g6"
+    multi.write_text("Bw\nCF\n")
+    assert main(["recognize", "--class", "split", str(multi)]) == 2
+    assert "holds 2 graphs" in capsys.readouterr().err
+
+
+def test_precondition_witness_uses_input_labels(tmp_path, capsys):
+    c5 = tmp_path / "c5.el"
+    c5.write_text("5 5\na b\nb c\nc d\nd e\ne a\n")
+    code, recs = run_records(
+        capsys, ["solve", "--problem", "chordal-to-co-chain", str(c5)]
+    )
+    assert code == 1
+    (rec,) = recs
+    assert rec["witness_name"] == "hole"
+    assert rec["witness"] == ["a", "b", "c", "d", "e"]
+    assert "'a'" in rec["error"]

@@ -69,7 +69,7 @@ def test_delete_preserves_surviving_adjacency():
 
 
 def test_complement_examples():
-    from chordel import are_isomorphic
+    from bruteforce import are_isomorphic
 
     assert are_isomorphic(complement(pat.two_k2()), pat.cycle_graph(4))
     k1 = pat.empty_graph(1)

@@ -160,3 +160,42 @@ def test_showcase_model_complete_split_has_twelve_vertices():
     g = model_to_graph(SHOWCASE_MODEL)
     sub, _ = induced_subgraph(g, kept)
     assert recognize(sub, COMPLETE_SPLIT).member
+
+
+def _mixed_model(seed):
+    """Seeded models in four styles: general position, small integer
+    endpoints (shared endpoints, touching and point intervals), rational
+    endpoints, and a shuffled chain of touching unit intervals."""
+    rng = random.Random(seed)
+    n = seed % 13
+    style = seed % 4
+    if style == 0:
+        return gen_interval_model(n, seed)
+    if style == 3:
+        ivs = [(i, i + 1) for i in range(n)]
+        rng.shuffle(ivs)
+        return model(*ivs)
+    ivs = []
+    for _ in range(n):
+        if style == 1:
+            a, b = rng.randint(0, 6), rng.randint(0, 6)
+        else:
+            a, b = F(rng.randint(0, 30), rng.randint(1, 4)), F(rng.randint(0, 30), rng.randint(1, 4))
+        ivs.append((min(a, b), max(a, b)))
+    return model(*ivs)
+
+
+def test_interval_solvers_match_reference_sweeps():
+    assert max_cluster_subgraph(model()) == bf.interval_cluster(model()) == ()
+    assert max_complete_split_subgraph(model()) == bf.interval_complete_split(model()) == ()
+    for seed in range(400):
+        m = _mixed_model(seed)
+        assert max_cluster_subgraph(m) == bf.interval_cluster(m), seed
+        assert max_complete_split_subgraph(m) == bf.interval_complete_split(m), seed
+        edges = {
+            (u, v)
+            for u in range(m.n)
+            for v in range(u + 1, m.n)
+            if max(m.left(u), m.left(v)) <= min(m.right(u), m.right(v))
+        }
+        assert model_to_graph(m).edges() == sorted(edges), seed

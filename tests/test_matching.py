@@ -11,6 +11,7 @@ from chordel import (
     remove_clique_edges,
 )
 from chordel import patterns as pat
+from chordel.matching import cover_from_adjacency
 from chordel.randgen import gen_bipartite
 
 
@@ -82,3 +83,14 @@ def test_matching_and_cover_match_bruteforce():
         used = [v for e in matching for v in e]
         assert len(used) == len(set(used))
         assert all(g.has_edge(u, v) for u, v in matching)
+
+
+def test_cover_survives_long_alternating_chain():
+    # left i sees rights r0+i and r0+i+1; one more left sees only r0, so its
+    # augmenting path runs through all of the chain
+    chain = 3000
+    r0 = chain + 1
+    adj = {i: [r0 + i, r0 + i + 1] for i in range(chain)}
+    adj[chain] = [r0]
+    cover = cover_from_adjacency(list(range(chain + 1)), adj)
+    assert len(cover) == chain + 1

@@ -1,8 +1,11 @@
+import functools
 import random
+from itertools import combinations
 
 import pytest
 
 import bruteforce as bf
+from bruteforce import are_isomorphic
 from chordel import (
     BLOCK,
     CHORDAL,
@@ -20,7 +23,6 @@ from chordel import (
     Obstruction,
     PatternTooLargeError,
     SplitPartition,
-    are_isomorphic,
     chordal_peo,
     complement,
     delete_vertices,
@@ -33,6 +35,7 @@ from chordel import (
     recognize,
     split_partition,
 )
+from chordel import recognition
 from chordel.recognition import (
     find_clique_of_size,
     is_perfect_elimination_ordering,
@@ -386,3 +389,28 @@ def test_are_isomorphic_basic():
 def test_chordal_generated_instances():
     for seed in range(40):
         assert recognize(gen_chordal(9, seed), CHORDAL).member
+
+
+CERTIFIED = (
+    (CLUSTER, (("p3", pat.path_graph(3)),)),
+    (TWO_K2_P3_FREE, (("2k2", pat.two_k2()), ("p3", pat.path_graph(3)))),
+    (COMPLETE_SPLIT, (("co-p3", pat.co_p3()), ("c4", pat.cycle_graph(4)))),
+)
+
+
+@pytest.mark.parametrize(
+    "label, pats", CERTIFIED, ids=[label.name for label, _ in CERTIFIED]
+)
+def test_certificate_first_recognition_matches_obstruction_search(label, pats, monkeypatch):
+    # recognize falls back to the same search when the certificate fails;
+    # a small cache lets each graph be searched once for both calls
+    search = functools.lru_cache(maxsize=4)(recognition._first_obstruction)
+    monkeypatch.setattr(recognition, "_first_obstruction", search)
+    for n in range(7):
+        pairs = list(combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            g = Graph.from_edges(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
+            got = recognize(g, label)
+            want = search(g, pats)
+            assert got == want, (n, mask)
+            assert recognition._certified(g, label.name) == want.member, (n, mask)

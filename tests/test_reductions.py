@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+from bruteforce import are_isomorphic
 from chordel import (
     Bipartition,
     CHORDAL,
@@ -12,7 +13,6 @@ from chordel import (
     SPLIT,
     THRESHOLD,
     ThresholdCreation,
-    are_isomorphic,
     bowtie,
     bowtie_model,
     delete_vertices,
