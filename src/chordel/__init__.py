@@ -35,7 +35,7 @@ from .interval import (
     parse_interval_model,
     write_interval_model,
 )
-from .matching import Bipartition, max_matching, min_vertex_cover, remove_clique_edges
+from .matching import Bipartition, max_matching, min_vertex_cover
 from .oracle import ORACLE_CAP, OracleCapError, oracle_min_deletion
 from .recognition import (
     BLOCK,
@@ -61,8 +61,6 @@ from .recognition import (
     enumerate_split_partitions,
     f_free,
     find_asteroidal_triple,
-    find_pattern,
-    has_asteroidal_triple,
     kp_free,
     recognize,
     split_partition,

@@ -1,8 +1,10 @@
 """Command-line entry point: recognize, solve, oracle, reduce, generate, selftest.
 
 Reports are line-delimited: human text by default, JSON records with
---format records, one result object per input file.  Exit codes: 0 success,
-1 solver precondition failure (obstruction printed), 2 malformed input.
+--format records, one result object per input file.  Exit codes: 0 success;
+1 solver precondition failure (obstruction printed), an instance above the
+exhaustive oracle's cap, or a failed selftest; 2 malformed input or input of
+the wrong kind; 3 a solver's own self-check failed (a record names the check).
 """
 
 from __future__ import annotations
@@ -26,18 +28,17 @@ from .interval import (
     write_interval_model,
 )
 from .matching import Bipartition, max_matching, min_vertex_cover
-from .oracle import oracle_min_deletion
+from .oracle import OracleCapError, oracle_min_deletion
 from .recognition import (
     BASE_LABELS,
     CHORDAL,
-    CLUSTER,
-    COMPLETE_SPLIT,
     ClassLabel,
     NotInClassError,
     SPLIT,
     f_free,
     kp_free,
     recognize,
+    require,
     split_partition,
 )
 from .reductions import (
@@ -62,6 +63,7 @@ from .graph import bipartition_classes
 EXIT_OK = 0
 EXIT_PRECONDITION = 1
 EXIT_BAD_INPUT = 2
+EXIT_SELF_CHECK = 3
 
 
 def _digest(g: Graph) -> str:
@@ -160,76 +162,47 @@ _MODEL_SOLVERS = {
 }
 
 
-def _solve_one(args, g: Graph) -> DeletionResult:
+def _solve_one(args, instance) -> DeletionResult:
+    """Solve one graph, or one interval model for a `_MODEL_SOLVERS` problem."""
     problem = args.problem
+    if problem in _MODEL_SOLVERS:
+        kept = _MODEL_SOLVERS[problem](instance)
+        target = BASE_LABELS[problem.split("-to-")[1]]
+        return DeletionResult(vset(set(range(instance.n)) - set(kept)), target, problem)
     if problem in _GRAPH_SOLVERS:
-        return _GRAPH_SOLVERS[problem](g)
+        return _GRAPH_SOLVERS[problem](instance)
     if problem == "chordal-to-kp":
-        p = args.p
-        if p is None:
+        if args.p is None:
             raise GraphInputError("chordal-to-kp needs --p")
-        chordality = recognize(g, CHORDAL)
-        if not chordality.member:
-            raise NotInClassError("chordal", chordality.witness, "hole")
-        if p == 2:
-            keep = max_independent_set_chordal(g)
-            deleted = vset(set(g.vertices()) - set(keep))
+        if args.p == 2:
+            keep = max_independent_set_chordal(instance)
+            deleted = vset(set(instance.vertices()) - set(keep))
             return DeletionResult(deleted, kp_free(2), "chordal-to-k2-free")
-        print(
-            f"warning: no polynomial routine wired for p={p}; "
-            "exponential oracle fallback",
-            file=sys.stderr,
-        )
-        result = oracle_min_deletion(g, kp_free(p))
-        return result
-    if problem == "chordal-to-split":
-        print(
-            "warning: chordal-to-split has no implemented polynomial routine; "
-            "exponential oracle fallback",
-            file=sys.stderr,
-        )
-        chordality = recognize(g, CHORDAL)
-        if not chordality.member:
-            raise NotInClassError("chordal", chordality.witness, "hole")
-        return oracle_min_deletion(g, SPLIT)
-    raise GraphInputError(f"unknown problem {args.problem!r}")
+        target, why = kp_free(args.p), f"no polynomial routine wired for p={args.p}"
+    elif problem == "chordal-to-split":
+        target, why = SPLIT, "chordal-to-split has no implemented polynomial routine"
+    else:
+        raise GraphInputError(f"unknown problem {problem!r}")
+    require(instance, CHORDAL)
+    print(f"warning: {why}; exponential oracle fallback", file=sys.stderr)
+    return oracle_min_deletion(instance, target)
 
 
 def _cmd_solve(args, fmt: str) -> int:
     problem = args.problem
-    if problem in _MODEL_SOLVERS:
-        if not args.model:
-            raise GraphInputError(f"{problem} needs --model")
-        model, labels = _load_model(args.model)
-        g = model_to_graph(model)
-        t0 = time.perf_counter()
-        kept = _MODEL_SOLVERS[problem](model)
-        elapsed = (time.perf_counter() - t0) * 1000
-        deleted = vset(set(range(model.n)) - set(kept))
-        target = CLUSTER if problem == "interval-to-cluster" else COMPLETE_SPLIT
-        result = DeletionResult(deleted, target, problem)
-        report = {
-            "command": "solve",
-            "problem": problem,
-            "input": args.model,
-            "digest": _digest(g),
-            "n": g.n,
-            "m": g.m,
-            "k": result.size,
-            "deleted": _labelled(result.deleted, labels),
-            "target": target.spelling,
-            "elapsed_ms": round(elapsed, 3),
-        }
-        if args.verify:
-            report["verified"] = _verify_result(g, result)
-        _emit(report, fmt)
-        return EXIT_OK
-
-    for path in args.inputs:
-        g, labels = _load_graph(path)
+    on_model = problem in _MODEL_SOLVERS
+    if on_model and not args.model:
+        raise GraphInputError(f"{problem} needs --model")
+    if on_model and args.inputs:
+        raise GraphInputError(f"{problem} takes --model, not graph files")
+    if args.model and not on_model:
+        raise GraphInputError(f"--model is only for {' and '.join(_MODEL_SOLVERS)}")
+    for path in [args.model] if on_model else args.inputs:
+        instance, labels = _load_model(path) if on_model else _load_graph(path)
+        g = model_to_graph(instance) if on_model else instance
         t0 = time.perf_counter()
         with _witness_in(labels):
-            result = _solve_one(args, g)
+            result = _solve_one(args, instance)
         elapsed = (time.perf_counter() - t0) * 1000
         report = {
             "command": "solve",
@@ -241,9 +214,10 @@ def _cmd_solve(args, fmt: str) -> int:
             "k": result.size,
             "deleted": _labelled(result.deleted, labels),
             "target": result.target_class.spelling,
-            "method": result.method,
-            "elapsed_ms": round(elapsed, 3),
         }
+        if not on_model:
+            report["method"] = result.method
+        report["elapsed_ms"] = round(elapsed, 3)
         if args.verify:
             report["verified"] = _verify_result(g, result)
         _emit(report, fmt)
@@ -381,14 +355,7 @@ def _cmd_generate(args, fmt: str) -> int:
 
 
 def _selftest_suites(seeds: int):
-    from .recognition import (
-        BLOCK,
-        CO_CHAIN,
-        INTERVAL,
-        THRESHOLD,
-        TWO_K2_P3_FREE,
-        UNIT_INTERVAL,
-    )
+    from .recognition import BLOCK, INTERVAL, THRESHOLD
     from .reductions import bowtie, bowtie_model
     from .graph import complement
 
@@ -410,37 +377,20 @@ def _selftest_suites(seeds: int):
             yield len(cover) == len(matching)
 
     def solver_oracle():
-        split_cases = [
-            (delete_to_2k2p3, TWO_K2_P3_FREE),
-            (delete_to_cluster_split, CLUSTER),
-            (delete_to_complete_split, COMPLETE_SPLIT),
-            (delete_to_unit_interval_split, UNIT_INTERVAL),
-        ]
+        draw = {
+            "split": lambda s: randgen.gen_split(7, 0.5, s),
+            "tree": lambda s: randgen.gen_tree(9, s),
+            "block": lambda s: randgen.gen_block(9, s),
+            "chordal": lambda s: randgen.gen_chordal(7, s),
+            "interval": lambda s: randgen.gen_interval_model(7, s),
+        }
         for s in range(max(6, seeds // 4)):
-            g = randgen.gen_split(7, 0.5, s)
-            for solver, label in split_cases:
-                got = solver(g)
-                want = oracle_min_deletion(g, label)
-                yield got.size == want.size
-            t = randgen.gen_tree(9, s)
-            yield delete_to_cluster_tree(t).size == oracle_min_deletion(t, CLUSTER).size
-            b = randgen.gen_block(9, s)
-            yield delete_to_cluster_block(b).size == oracle_min_deletion(b, CLUSTER).size
-            c = randgen.gen_chordal(7, s)
-            yield (
-                delete_to_cochain_chordal(c).size
-                == oracle_min_deletion(c, CO_CHAIN).size
-            )
-            m = randgen.gen_interval_model(7, s)
-            gm = model_to_graph(m)
-            yield (
-                gm.n - len(max_cluster_subgraph(m))
-                == oracle_min_deletion(gm, CLUSTER).size
-            )
-            yield (
-                gm.n - len(max_complete_split_subgraph(m))
-                == oracle_min_deletion(gm, COMPLETE_SPLIT).size
-            )
+            drawn = {source: make(s) for source, make in draw.items()}
+            for problem in (*_GRAPH_SOLVERS, *_MODEL_SOLVERS):
+                instance = drawn[problem.split("-to-")[0]]
+                g = model_to_graph(instance) if problem in _MODEL_SOLVERS else instance
+                got = _solve_one(argparse.Namespace(problem=problem, p=None), instance)
+                yield got.size == oracle_min_deletion(g, got.target_class).size
 
     def bowtie_interval():
         for s in range(seeds):
@@ -569,6 +519,13 @@ def main(argv: list[str] | None = None) -> int:
             report["witness"] = list(exc.witness)
         _emit(report, args.format)
         return EXIT_PRECONDITION
+    except OracleCapError as exc:
+        _emit({"command": args.command, "error": str(exc)}, args.format)
+        return EXIT_PRECONDITION
+    except AssertionError as exc:
+        report = {"command": args.command, "error": f"self-check failed: {exc}"}
+        _emit(report, args.format)
+        return EXIT_SELF_CHECK
     except (GraphInputError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

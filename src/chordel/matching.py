@@ -10,8 +10,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .graph import Graph, GraphInputError, VertexSet, remove_edges, vset
-from .recognition import SplitPartition, is_valid_split_partition
+from .graph import Graph, GraphInputError, VertexSet, vset
 
 _INF = float("inf")
 
@@ -29,15 +28,6 @@ def check_bipartition(g: Graph, b: Bipartition) -> None:
     for u, v in g.edges():
         if (u in left) == (v in left):
             raise GraphInputError(f"edge ({u}, {v}) inside one side")
-
-
-def remove_clique_edges(g: Graph, part: SplitPartition) -> tuple[Graph, Bipartition]:
-    """Drop all edges inside the clique side; the result is bipartite."""
-    if not is_valid_split_partition(g, part):
-        raise GraphInputError("invalid split partition")
-    cl = part.clique
-    stripped = remove_edges(g, [(u, v) for i, u in enumerate(cl) for v in cl[i + 1 :]])
-    return stripped, Bipartition(part.clique, part.independent)
 
 
 def _hopcroft_karp(

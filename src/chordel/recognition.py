@@ -182,51 +182,33 @@ def _find_embedding(
     return extend(0)
 
 
-def find_pattern(g: Graph, f: Graph) -> VertexSet | None:
-    """Lexicographically least vertex set of g inducing a copy of f, or None.
-
-    The pattern is capped at 8 vertices; the lexicographic witness is built
-    greedily, one prefix element at a time.
-    """
-    if f.n > 8:
-        raise PatternTooLargeError(f"pattern has {f.n} > 8 vertices")
-    if f.n > g.n:
-        return None
-    if f.n == 0:
-        return ()
-    if _find_embedding(g, f) is None:
-        return None
-    prefix: list[int] = []
-    for _ in range(f.n):
-        lo = prefix[-1] + 1 if prefix else 0
-        for cand in range(lo, g.n):
-            trial = tuple(prefix + [cand])
-            if _find_embedding(g, f, forced=trial, floor=cand) is not None:
-                prefix.append(cand)
-                break
-        else:
-            raise AssertionError("extendable prefix lost its extension")
-    return tuple(prefix)
-
-
 def find_clique_of_size(g: Graph, p: int) -> VertexSet | None:
-    """Lexicographically least clique on p vertices, or None."""
+    """Lexicographically least clique on p vertices, or None.
+
+    Depth-first over common neighbourhoods with an explicit stack, so a
+    clique deeper than the recursion limit is still found.
+    """
     if p == 0:
         return ()
-
-    def extend(current: list[int], common: list[int]) -> VertexSet | None:
+    current: list[int] = []
+    frames = [[list(g.vertices()), 0]]  # candidates and next index, per level
+    while frames:
+        frame = frames[-1]
+        common, i = frame
+        if i == len(common):
+            frames.pop()
+            del current[-1:]
+            continue
+        frame[1] = i + 1
+        v = common[i]
+        nxt = [u for u in common[i + 1 :] if g.has_edge(u, v)]
+        if len(nxt) + len(current) + 1 < p:
+            continue
+        current.append(v)
         if len(current) == p:
             return tuple(current)
-        for i, v in enumerate(common):
-            nxt = [u for u in common[i + 1 :] if g.has_edge(u, v)]
-            if len(nxt) + len(current) + 1 < p:
-                continue
-            hit = extend(current + [v], nxt)
-            if hit is not None:
-                return hit
-        return None
-
-    return extend([], list(g.vertices()))
+        frames.append([nxt, 0])
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -359,9 +341,7 @@ def enumerate_split_partitions(g: Graph) -> list[SplitPartition]:
     vertex with no independent-side neighbors joins I.  The move closure is
     explored to a fixed point and cross-checked against brute force in tests.
     """
-    base = split_partition(g)
-    if isinstance(base, Obstruction):
-        raise NotInClassError("split", base.vertices, base.name)
+    base = require_split(g)
     seen = {base.clique}
     queue = [base]
     while queue:
@@ -426,11 +406,6 @@ def find_asteroidal_triple(g: Graph) -> tuple[int, int, int] | None:
                 ):
                     return (x, y, z)
     return None
-
-
-def has_asteroidal_triple(g: Graph) -> tuple[bool, tuple[int, int, int] | None]:
-    triple = find_asteroidal_triple(g)
-    return triple is not None, triple
 
 
 # ---------------------------------------------------------------------------
@@ -549,3 +524,17 @@ def recognize(g: Graph, label: ClassLabel) -> Verdict:
         return Verdict(False, hit, "pattern") if hit is not None else Verdict(True)
     raise ValueError(f"unknown class label {name!r}")
 
+
+def require(g: Graph, label: ClassLabel) -> None:
+    """Raise `NotInClassError` with the obstruction unless g is in the class."""
+    verdict = recognize(g, label)
+    if not verdict.member:
+        raise NotInClassError(label.spelling, verdict.witness, verdict.witness_name)
+
+
+def require_split(g: Graph) -> SplitPartition:
+    """The degree-test split partition, or `NotInClassError` with the obstruction."""
+    part = split_partition(g)
+    if isinstance(part, Obstruction):
+        raise NotInClassError("split", part.vertices, part.name)
+    return part

@@ -25,15 +25,14 @@ from .interval import IntervalModel
 from .matching import Bipartition, check_bipartition
 from .patterns import complete_split_pattern
 from .recognition import (
-    NotInClassError,
-    Obstruction,
     SplitPartition,
     SPLIT,
     THRESHOLD,
     chordal_peo,
     is_valid_split_partition,
     recognize,
-    split_partition,
+    require,
+    require_split,
 )
 from .structural import build_block_cut_tree
 
@@ -76,18 +75,9 @@ class ThresholdCreation:
         return Graph.from_edges(self.n, edges)
 
 
-def _require_split(g: Graph) -> SplitPartition:
-    part = split_partition(g)
-    if isinstance(part, Obstruction):
-        raise NotInClassError("split", part.vertices, part.name)
-    return part
-
-
 def _require_threshold(g: Graph) -> SplitPartition:
-    verdict = recognize(g, THRESHOLD)
-    if not verdict.member:
-        raise NotInClassError("threshold", verdict.witness, verdict.witness_name)
-    return _require_split(g)
+    require(g, THRESHOLD)
+    return require_split(g)
 
 
 def _raw_threshold_intervals(
@@ -168,8 +158,7 @@ def bowtie_model(
     for g, p in ((g1, p1), (g2, p2)):
         if not is_valid_split_partition(g, p):
             raise GraphInputError("invalid split partition")
-        if not recognize(g, THRESHOLD).member:
-            raise NotInClassError("threshold")
+        require(g, THRESHOLD)
     raw1 = _raw_threshold_intervals(g1, p1)
     raw2 = _raw_threshold_intervals(g2, p2)
     big = 2 * (len(p1.independent) + len(p2.independent) + 3)
@@ -197,7 +186,7 @@ def reduce_threshold_to_interval(g: Graph) -> Graph:
     budgets below |C|, threshold deletion on g and interval deletion on H
     have the same answer.
     """
-    part = _require_split(g)
+    part = require_split(g)
     c = len(part.clique)
     gadget = complete_split_pattern(c, c)
     return bowtie(g, part.clique, gadget, tuple(range(c)))

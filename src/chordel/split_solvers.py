@@ -21,22 +21,12 @@ from .matching import cover_from_adjacency
 from .recognition import (
     CLUSTER,
     COMPLETE_SPLIT,
-    NotInClassError,
-    Obstruction,
-    SplitPartition,
     TWO_K2_P3_FREE,
     UNIT_INTERVAL,
     enumerate_split_partitions,
     recognize,
-    split_partition,
+    require_split,
 )
-
-
-def _require_split(g: Graph) -> SplitPartition:
-    part = split_partition(g)
-    if isinstance(part, Obstruction):
-        raise NotInClassError("split", part.vertices, part.name)
-    return part
 
 
 def _is_degenerate(g: Graph) -> bool:
@@ -86,7 +76,7 @@ def delete_to_2k2p3(g: Graph) -> DeletionResult:
     matter, so every candidate is a cross-edge vertex cover, possibly after
     committing to the one independent vertex allowed to keep its neighbors.
     """
-    part = _require_split(g)
+    part = require_split(g)
     if _is_degenerate(g):
         return DeletionResult((), TWO_K2_P3_FREE, "split-to-2k2p3")
     cands = _non_clique_candidates(g, part.clique, part.independent)
@@ -103,7 +93,7 @@ def delete_to_cluster_split(g: Graph) -> DeletionResult:
 def delete_to_complete_split(g: Graph) -> DeletionResult:
     """Solve on the complement: complete split is the complement class of
     {2K2, P3}-free, and split graphs are self-complementary."""
-    _require_split(g)
+    require_split(g)
     inner = delete_to_2k2p3(complement(g))
     return _verified(g, inner.deleted, COMPLETE_SPLIT, "split-to-complete-split")
 
@@ -141,7 +131,6 @@ def delete_to_unit_interval_split(g: Graph) -> DeletionResult:
     rerun case 1.  The algorithm is run once per split partition and the
     best candidate over all runs wins.
     """
-    _require_split(g)
     if _is_degenerate(g):
         return DeletionResult((), UNIT_INTERVAL, "split-to-unit-interval")
     cands: list[VertexSet] = []

@@ -25,6 +25,7 @@ from .recognition import (
     NotInClassError,
     chordal_peo,
     recognize,
+    require,
 )
 
 
@@ -181,9 +182,7 @@ def delete_to_cluster_block(g: Graph) -> DeletionResult:
     grandparent block except v.  Detached pieces are re-examined on the next
     round and dropped once they are cliques.
     """
-    verdict = recognize(g, BLOCK)
-    if not verdict.member:
-        raise NotInClassError("block", verdict.witness, verdict.witness_name)
+    require(g, BLOCK)
     alive = list(g.vertices())
     deleted: list[int] = []
     while True:

@@ -8,7 +8,20 @@ paths it checks.
 from bisect import bisect_left
 from itertools import combinations, permutations
 
-from chordel import Graph, induced_subgraph
+from chordel import (
+    Bipartition,
+    Graph,
+    GraphInputError,
+    SplitPartition,
+    induced_subgraph,
+)
+from chordel.graph import remove_edges
+from chordel.recognition import (
+    PatternTooLargeError,
+    _find_embedding,
+    find_asteroidal_triple,
+    is_valid_split_partition,
+)
 
 
 def induced(g: Graph, subset) -> Graph:
@@ -250,3 +263,45 @@ def are_isomorphic(g1: Graph, g2: Graph) -> bool:
         return False
 
     return extend(0)
+
+
+def find_pattern(g: Graph, f: Graph) -> tuple | None:
+    """Lexicographically least vertex set of g inducing a copy of f, or None.
+
+    The pattern is capped at 8 vertices; the lexicographic witness is built
+    greedily, one prefix element at a time, with the library's forced-vertex
+    embedding search.
+    """
+    if f.n > 8:
+        raise PatternTooLargeError(f"pattern has {f.n} > 8 vertices")
+    if f.n > g.n:
+        return None
+    if f.n == 0:
+        return ()
+    if _find_embedding(g, f) is None:
+        return None
+    prefix: list[int] = []
+    for _ in range(f.n):
+        lo = prefix[-1] + 1 if prefix else 0
+        for cand in range(lo, g.n):
+            trial = tuple(prefix + [cand])
+            if _find_embedding(g, f, forced=trial, floor=cand) is not None:
+                prefix.append(cand)
+                break
+        else:
+            raise AssertionError("extendable prefix lost its extension")
+    return tuple(prefix)
+
+
+def has_asteroidal_triple(g: Graph) -> tuple:
+    triple = find_asteroidal_triple(g)
+    return triple is not None, triple
+
+
+def remove_clique_edges(g: Graph, part: SplitPartition) -> tuple:
+    """Drop all edges inside the clique side; the result is bipartite."""
+    if not is_valid_split_partition(g, part):
+        raise GraphInputError("invalid split partition")
+    cl = part.clique
+    stripped = remove_edges(g, [(u, v) for i, u in enumerate(cl) for v in cl[i + 1 :]])
+    return stripped, Bipartition(part.clique, part.independent)

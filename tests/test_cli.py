@@ -1,9 +1,13 @@
+import io
 import json
+import re
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
 from chordel import parse_edge_list, recognize, CHORDAL, SPLIT, THRESHOLD
-from chordel.cli import main
+from chordel.cli import _GRAPH_SOLVERS, _MODEL_SOLVERS, main
 
 
 DSTAR = "5 4\nu1 u2\nu1 v1\nu1 v2\nu2 v3\n"
@@ -202,3 +206,130 @@ def test_precondition_witness_uses_input_labels(tmp_path, capsys):
     assert rec["witness_name"] == "hole"
     assert rec["witness"] == ["a", "b", "c", "d", "e"]
     assert "'a'" in rec["error"]
+
+
+def test_graph_problem_rejects_model_input(capsys, tmp_path):
+    mfile = tmp_path / "claw.iv"
+    mfile.write_text("c 0 10\na 1 2\nb 4 5\nd 7 8\n")
+    code = main(["solve", "--problem", "split-to-cluster", "--model", str(mfile)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "--model is only for interval-to-cluster and" in captured.err
+
+
+def test_model_problem_rejects_graph_files(files, capsys, tmp_path):
+    mfile = tmp_path / "claw.iv"
+    mfile.write_text("c 0 10\na 1 2\nb 4 5\nd 7 8\n")
+    code = main(
+        ["solve", "--problem", "interval-to-cluster", "--model", str(mfile), files["p3"]]
+    )
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "interval-to-cluster takes --model, not graph files" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--problem", "chordal-to-split"],
+        ["oracle", "--class", "cluster"],
+    ],
+)
+def test_oracle_cap_is_a_record_with_exit_1(argv, capsys, tmp_path):
+    path = tmp_path / "path20.el"
+    path.write_text("20 19\n" + "".join(f"{i} {i + 1}\n" for i in range(19)))
+    code, recs = run_records(capsys, argv + [str(path)])
+    assert code == 1
+    assert recs == [
+        {
+            "command": argv[0],
+            "error": "n = 20 exceeds the exhaustive cap 16; "
+            "pass allow_large=True to override",
+        }
+    ]
+
+
+def test_fallback_warns_only_after_the_chordality_check(files, capsys):
+    code = main(["solve", "--problem", "chordal-to-split", files["c5"]])
+    captured = capsys.readouterr()
+    assert code == 1 and "witness_name=hole" in captured.out
+    assert "fallback" not in captured.err
+
+
+def test_failed_self_check_is_a_record_with_exit_3(files, capsys, monkeypatch):
+    from chordel import CLUSTER, split_solvers
+
+    def keeps_everything(g):
+        return split_solvers._verified(g, (), CLUSTER, "split-to-cluster")
+
+    monkeypatch.setitem(_GRAPH_SOLVERS, "split-to-cluster", keeps_everything)
+    code, recs = run_records(capsys, ["solve", "--problem", "split-to-cluster", files["p3"]])
+    assert code == 3
+    assert recs == [
+        {
+            "command": "solve",
+            "error": "self-check failed: "
+            "split-to-cluster produced an infeasible deletion set",
+        }
+    ]
+
+
+# ------------------------------------------------------ golden solve records
+
+# {case id: {"code", "stdout"}} for every case below, written by running
+# solve_stdout on each case at a commit whose output is trusted; a new
+# problem in either solver table fails here until its records are added
+GOLDEN = Path(__file__).parent / "golden" / "solve_records.json"
+
+SOLVE_INPUTS = {
+    "split": "7 11\na d\na f\na g\nb d\nb f\nc d\nc g\nd e\nd f\nd g\nf g\n",
+    "tree": "8 7\na b\na d\nb c\nc e\nd g\nd h\ne f\n",
+    "block": "8 10\na b\na c\na d\na e\nb c\nd e\nd h\ne f\ne g\nf g\n",
+    "chordal": "7 8\na b\nb c\na c\nc d\nd e\nc e\ne f\nf g\n",
+    "interval": "p 0 10\nq 1 3\nr 2 5\ns 4 7\nt 6 9\nu 8 11\n",
+    "c5": "5 5\na b\nb c\nc d\nd e\ne a\n",
+}
+
+# (problem and extra flags, input) per case: every key of both solver tables
+# on an input of its source class, the fallbacks, and precondition failures
+SOLVE_CASES = [
+    ((name,), name.split("-to-")[0]) for name in (*_GRAPH_SOLVERS, *_MODEL_SOLVERS)
+] + [
+    (("chordal-to-kp", "--p", "2"), "chordal"),
+    (("chordal-to-kp", "--p", "3"), "chordal"),
+    (("chordal-to-split",), "chordal"),
+    (("split-to-cluster",), "c5"),
+    (("chordal-to-split",), "c5"),
+]
+
+
+def _solve_case_id(problem, source, fmt, verify):
+    return " ".join([*problem, source, fmt] + (["verify"] if verify else []))
+
+
+def solve_stdout(problem, source, fmt, verify):
+    """Exit code and stdout of one `solve` run, with elapsed_ms blanked.
+
+    The input is written to the current directory, so records name it by
+    its file name only.
+    """
+    name = f"{source}.iv" if source == "interval" else f"{source}.el"
+    Path(name).write_text(SOLVE_INPUTS[source])
+    argv = ["--format", fmt, "solve", "--problem", *problem]
+    argv += ["--model", name] if source == "interval" else [name]
+    argv += ["--verify"] if verify else []
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        code = main(argv)
+    text = re.sub(r'elapsed_ms("?[:=] ?)[-0-9.e]+', r"elapsed_ms\1_", out.getvalue())
+    return code, text
+
+
+@pytest.mark.parametrize("fmt", ["text", "records"])
+@pytest.mark.parametrize("verify", [False, True])
+@pytest.mark.parametrize("problem,source", SOLVE_CASES)
+def test_solve_golden(problem, source, fmt, verify, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    want = json.loads(GOLDEN.read_text())[_solve_case_id(problem, source, fmt, verify)]
+    code, out = solve_stdout(problem, source, fmt, verify)
+    assert (code, out) == (want["code"], want["stdout"])

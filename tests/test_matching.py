@@ -1,6 +1,7 @@
 import pytest
 
 import bruteforce as bf
+from bruteforce import remove_clique_edges
 from chordel import (
     Bipartition,
     Graph,
@@ -8,7 +9,6 @@ from chordel import (
     SplitPartition,
     max_matching,
     min_vertex_cover,
-    remove_clique_edges,
 )
 from chordel import patterns as pat
 from chordel.matching import cover_from_adjacency

@@ -1,11 +1,13 @@
 import functools
+import inspect
 import random
+import sys
 from itertools import combinations
 
 import pytest
 
 import bruteforce as bf
-from bruteforce import are_isomorphic
+from bruteforce import are_isomorphic, find_pattern, has_asteroidal_triple
 from chordel import (
     BLOCK,
     CHORDAL,
@@ -29,8 +31,6 @@ from chordel import (
     enumerate_split_partitions,
     f_free,
     find_asteroidal_triple,
-    find_pattern,
-    has_asteroidal_triple,
     kp_free,
     recognize,
     split_partition,
@@ -231,6 +231,29 @@ def test_find_pattern_size_cap():
 def test_find_clique_of_size():
     assert find_clique_of_size(pat.complete_graph(5), 5) == (0, 1, 2, 3, 4)
     assert find_clique_of_size(pat.cycle_graph(5), 3) is None
+
+
+def test_find_clique_deeper_than_the_recursion_limit():
+    g = pat.complete_graph(200)
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 50)
+    try:
+        verdict = recognize(g, kp_free(200))
+    finally:
+        sys.setrecursionlimit(old)
+    assert verdict == recognition.Verdict(False, tuple(range(200)), "k200")
+
+
+def test_find_clique_of_size_lexicographic_least():
+    for seed in range(30):
+        g = random_graph(8, 0.6, seed)
+        for p in (1, 2, 3, 4):
+            want = next(
+                (sub for sub in combinations(range(g.n), p)
+                 if all(g.has_edge(u, v) for u, v in combinations(sub, 2))),
+                None,
+            )
+            assert find_clique_of_size(g, p) == want
 
 
 # --------------------------------------------------------------- recognize
