@@ -49,12 +49,9 @@ from .recognition import (
     TRIVIALLY_PERFECT,
     TWO_K2_P3_FREE,
     UNIT_INTERVAL,
-    ChordalityResult,
     ClassLabel,
     NotInClassError,
-    Obstruction,
     PatternTooLargeError,
-    PerfectEliminationOrdering,
     SplitPartition,
     Verdict,
     chordal_peo,

@@ -119,7 +119,6 @@ def _witness_in(labels: list[str]):
 
 def _cmd_recognize(args, fmt: str) -> int:
     label = parse_class_label(args.klass)
-    code = EXIT_OK
     for path in args.inputs:
         g, labels = _load_graph(path)
         t0 = time.perf_counter()
@@ -143,7 +142,7 @@ def _cmd_recognize(args, fmt: str) -> int:
             report["clique"] = _labelled(part.clique, labels)
             report["independent"] = _labelled(part.independent, labels)
         _emit(report, fmt)
-    return code
+    return EXIT_OK
 
 
 _GRAPH_SOLVERS = {
@@ -520,7 +519,10 @@ def main(argv: list[str] | None = None) -> int:
         _emit(report, args.format)
         return EXIT_PRECONDITION
     except OracleCapError as exc:
-        _emit({"command": args.command, "error": str(exc)}, args.format)
+        error = str(exc)
+        if args.command == "oracle":
+            error += "; pass --allow-large to override"
+        _emit({"command": args.command, "error": error}, args.format)
         return EXIT_PRECONDITION
     except AssertionError as exc:
         report = {"command": args.command, "error": f"self-check failed: {exc}"}

@@ -180,11 +180,6 @@ def add_edges(g: Graph, extra: Iterable[tuple[int, int]]) -> Graph:
     return Graph.from_edges(g.n, sorted(edges))
 
 
-def remove_edges(g: Graph, gone: Iterable[tuple[int, int]]) -> Graph:
-    drop = {(min(u, v), max(u, v)) for u, v in gone}
-    return Graph.from_edges(g.n, [e for e in g.edges() if e not in drop])
-
-
 def bipartition_classes(g: Graph) -> tuple[VertexSet, VertexSet] | None:
     """Two-color g by BFS; None when some component has an odd cycle."""
     color = [-1] * g.n

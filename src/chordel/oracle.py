@@ -28,10 +28,7 @@ def oracle_min_deletion(
 ) -> DeletionResult | None:
     """Smallest deletion set reaching the class, or None if none within k_max."""
     if g.n > ORACLE_CAP and not allow_large:
-        raise OracleCapError(
-            f"n = {g.n} exceeds the exhaustive cap {ORACLE_CAP}; "
-            "pass allow_large=True to override"
-        )
+        raise OracleCapError(f"n = {g.n} exceeds the exhaustive cap {ORACLE_CAP}")
     top = g.n if k_max is None else min(k_max, g.n)
     for k in range(top + 1):
         for subset in combinations(g.vertices(), k):

@@ -4,7 +4,9 @@ Every recognizer is a total function: a "no" always comes with a concrete
 induced obstruction (hole, asteroidal triple, or small forbidden pattern)
 that can be re-checked independently.  Interval graphs are recognized as
 chordal plus asteroidal-triple-free, unit interval additionally claw-free,
-and the remaining classes through their finite obstruction sets.
+and the remaining classes through their finite obstruction sets.  Each base
+class's obstructions are listed once, in `_OBSTRUCTIONS`, and `recognize` is
+the only place that turns them into a rejecting `Verdict`.
 """
 
 from __future__ import annotations
@@ -102,65 +104,29 @@ class SplitPartition:
     independent: VertexSet
 
 
-@dataclass(frozen=True)
-class Obstruction:
-    name: str
-    vertices: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class PerfectEliminationOrdering:
-    """Permutation of vertex ids; each vertex's later neighbors form a clique."""
-
-    ordering: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class ChordalityResult:
-    peo: PerfectEliminationOrdering | None
-    hole: tuple[int, ...] | None
-
-    @property
-    def is_chordal(self) -> bool:
-        return self.peo is not None
-
-
 # ---------------------------------------------------------------------------
 # induced-pattern search
 
 
-def _find_embedding(
-    g: Graph,
-    f: Graph,
-    forced: tuple[int, ...] = (),
-    floor: int = -1,
-) -> VertexSet | None:
+def _find_embedding(g: Graph, f: Graph) -> VertexSet | None:
     """First vertex set of g inducing a copy of f, by backtracking.
 
-    When `forced` is given, the witness must contain every forced vertex and
-    all its other vertices must exceed `floor`.  Deterministic but not
-    necessarily the lexicographically least witness.
+    Deterministic but not necessarily the lexicographically least witness.
     """
     if f.n == 0:
         return ()
-    if f.n > g.n or len(forced) > f.n:
+    if f.n > g.n:
         return None
     # high-degree pattern vertices first: fail fast
     order = sorted(f.vertices(), key=lambda u: (-f.degree(u), u))
-    forced_set = set(forced)
-    pool = list(forced) + [v for v in g.vertices() if v > floor and v not in forced_set]
     image: dict[int, int] = {}
     used: set[int] = set()
 
     def extend(k: int) -> VertexSet | None:
         if k == len(order):
-            return vset(used) if all(w in used for w in forced) else None
+            return vset(used)
         u = order[k]
-        slots_left = len(order) - k
-        missing_forced = [w for w in forced if w not in used]
-        if len(missing_forced) > slots_left:
-            return None
-        for w in pool:
+        for w in g.vertices():
             if w in used or g.degree(w) < f.degree(u):
                 continue
             ok = True
@@ -283,15 +249,10 @@ def find_hole(g: Graph) -> tuple[int, ...] | None:
     return None
 
 
-def chordal_peo(g: Graph) -> ChordalityResult:
-    """A validated perfect elimination ordering, or a hole certificate."""
-    elimination = maximum_cardinality_search(g)[::-1]
-    if is_perfect_elimination_ordering(g, elimination):
-        return ChordalityResult(PerfectEliminationOrdering(tuple(elimination)), None)
-    hole = find_hole(g)
-    if hole is None:
-        raise AssertionError("MCS order rejected but no hole found")
-    return ChordalityResult(None, hole)
+def chordal_peo(g: Graph) -> tuple[int, ...] | None:
+    """A validated perfect elimination ordering, or None if g is not chordal."""
+    elimination = tuple(maximum_cardinality_search(g)[::-1])
+    return elimination if is_perfect_elimination_ordering(g, elimination) else None
 
 
 # ---------------------------------------------------------------------------
@@ -305,12 +266,11 @@ def is_valid_split_partition(g: Graph, part: SplitPartition) -> bool:
     return is_clique(g, part.clique) and is_independent(g, part.independent)
 
 
-def split_partition(g: Graph) -> SplitPartition | Obstruction:
-    """A split partition via the degree-sequence test, else an obstruction.
+def split_partition(g: Graph) -> SplitPartition | None:
+    """A split partition via the degree-sequence test, or None if g is not split.
 
     The clique side is the h highest-degree vertices where h is the largest
-    index with d_i >= i-1; the characterization is certified by an induced
-    2K2, C4, or C5 on failure.
+    index with d_i >= i-1; g is split iff the degree sums balance there.
     """
     by_degree = sorted(g.vertices(), key=lambda v: (-g.degree(v), v))
     degs = [g.degree(v) for v in by_degree]
@@ -318,20 +278,12 @@ def split_partition(g: Graph) -> SplitPartition | Obstruction:
     for i in range(1, g.n + 1):
         if degs[i - 1] >= i - 1:
             h = i
-    if sum(degs[:h]) == h * (h - 1) + sum(degs[h:]):
-        part = SplitPartition(vset(by_degree[:h]), vset(by_degree[h:]))
-        if not is_valid_split_partition(g, part):
-            raise AssertionError("degree test passed but partition invalid")
-        return part
-    for name, pat in (
-        ("2k2", patterns.two_k2()),
-        ("c4", patterns.cycle_graph(4)),
-        ("c5", patterns.cycle_graph(5)),
-    ):
-        hit = _find_embedding(g, pat)
-        if hit is not None:
-            return Obstruction(name, hit)
-    raise AssertionError("degree test failed but no split obstruction found")
+    if sum(degs[:h]) != h * (h - 1) + sum(degs[h:]):
+        return None
+    part = SplitPartition(vset(by_degree[:h]), vset(by_degree[h:]))
+    if not is_valid_split_partition(g, part):
+        raise AssertionError("degree test passed but partition invalid")
+    return part
 
 
 def enumerate_split_partitions(g: Graph) -> list[SplitPartition]:
@@ -412,18 +364,62 @@ def find_asteroidal_triple(g: Graph) -> tuple[int, int, int] | None:
 # the recognizer
 
 
-def _first_obstruction(
-    g: Graph, pats: tuple[tuple[str, Graph], ...]
-) -> Verdict:
-    for name, pat in pats:
-        hit = _find_embedding(g, pat)
+_PATTERNS = {
+    "2k2": patterns.two_k2(),
+    "c4": patterns.cycle_graph(4),
+    "c5": patterns.cycle_graph(5),
+    "p3": patterns.path_graph(3),
+    "p4": patterns.path_graph(4),
+    "co-p3": patterns.co_p3(),
+    "i3": patterns.empty_graph(3),
+    "claw": patterns.claw(),
+    "diamond": patterns.diamond(),
+}
+
+# Each base class's forbidden induced subgraphs, in search order.  "hole"
+# and "asteroidal-triple" are searched for directly; every other name is a
+# pattern of `_PATTERNS`.
+_OBSTRUCTIONS = {
+    "chordal": ("hole",),
+    "interval": ("hole", "asteroidal-triple"),
+    "unit-interval": ("hole", "asteroidal-triple", "claw"),
+    "split": ("2k2", "c4", "c5"),
+    "threshold": ("2k2", "c4", "p4"),
+    "trivially-perfect": ("c4", "p4"),
+    "cluster": ("p3",),
+    "complete-split": ("co-p3", "c4"),
+    "co-chain": ("i3", "c4", "c5"),
+    "block": ("hole", "diamond"),
+    "2k2p3": ("2k2", "p3"),
+}
+
+
+def _hole(g: Graph) -> tuple[int, ...] | None:
+    """A hole, searched for only when the MCS order is not a PEO."""
+    if chordal_peo(g) is not None:
+        return None
+    hole = find_hole(g)
+    if hole is None:
+        raise AssertionError("MCS order rejected but no hole found")
+    return hole
+
+
+def _first_obstruction(g: Graph, names: tuple[str, ...]) -> Verdict:
+    for name in names:
+        if name == "hole":
+            hit = _hole(g)
+        elif name == "asteroidal-triple":
+            hit = find_asteroidal_triple(g)
+        else:
+            hit = _find_embedding(g, _PATTERNS[name])
         if hit is not None:
             return Verdict(False, hit, name)
     return Verdict(True)
 
 
-def _certified(g: Graph, name: str) -> bool:
-    """Linear-time proof of membership for three classes; False elsewhere."""
+def _certified(g: Graph, name: str) -> bool | None:
+    """Certificate checked before the obstruction search: True or False for
+    a class that has one, None for a class that has none."""
     if name == "cluster":  # adjacent vertices have equal closed neighbourhoods:
         # checking each vertex against the least vertex of its own suffices
         closed = [g.closed_neighborhood(v) for v in g.vertices()]
@@ -434,86 +430,24 @@ def _certified(g: Graph, name: str) -> bool:
     if name == "complete-split":  # non-universal vertices see only universal ones
         rest = [v for v in g.vertices() if g.degree(v) < g.n - 1]
         return all(g.degree(v) == g.n - len(rest) for v in rest)
-    return False
+    if name == "split":
+        return split_partition(g) is not None
+    if name == "co-chain":  # the complement is a 2K2-free bipartite graph
+        co = complement(g)
+        return bipartition_classes(co) is not None and _find_embedding(
+            co, _PATTERNS["2k2"]
+        ) is None
+    return None
 
 
 def recognize(g: Graph, label: ClassLabel) -> Verdict:
     """True iff g belongs to the class; otherwise a concrete obstruction.
 
-    Where `_certified` has a certificate it is tried first, and the
-    obstruction search runs only if it fails.
+    A base class tries its `_certified` test first and searches its
+    `_OBSTRUCTIONS` only when that rejects, so an obstruction must turn up,
+    or when the class has no certificate.
     """
     name = label.name
-    if _certified(g, name):
-        return Verdict(True)
-    if name == "chordal":
-        res = chordal_peo(g)
-        return Verdict(True) if res.is_chordal else Verdict(False, res.hole, "hole")
-    if name == "interval":
-        res = chordal_peo(g)
-        if not res.is_chordal:
-            return Verdict(False, res.hole, "hole")
-        triple = find_asteroidal_triple(g)
-        if triple is not None:
-            return Verdict(False, triple, "asteroidal-triple")
-        return Verdict(True)
-    if name == "unit-interval":
-        inner = recognize(g, INTERVAL)
-        if not inner.member:
-            return inner
-        hit = _find_embedding(g, patterns.claw())
-        return Verdict(False, hit, "claw") if hit is not None else Verdict(True)
-    if name == "split":
-        part = split_partition(g)
-        if isinstance(part, Obstruction):
-            return Verdict(False, part.vertices, part.name)
-        return Verdict(True)
-    if name == "threshold":
-        return _first_obstruction(
-            g,
-            (
-                ("2k2", patterns.two_k2()),
-                ("c4", patterns.cycle_graph(4)),
-                ("p4", patterns.path_graph(4)),
-            ),
-        )
-    if name == "trivially-perfect":
-        return _first_obstruction(
-            g, (("c4", patterns.cycle_graph(4)), ("p4", patterns.path_graph(4)))
-        )
-    if name == "cluster":
-        return _first_obstruction(g, (("p3", patterns.path_graph(3)),))
-    if name == "complete-split":
-        return _first_obstruction(
-            g, (("co-p3", patterns.co_p3()), ("c4", patterns.cycle_graph(4)))
-        )
-    if name == "co-chain":
-        co = complement(g)
-        if bipartition_classes(co) is not None and _find_embedding(
-            co, patterns.two_k2()
-        ) is None:
-            return Verdict(True)
-        verdict = _first_obstruction(
-            g,
-            (
-                ("i3", patterns.empty_graph(3)),
-                ("c4", patterns.cycle_graph(4)),
-                ("c5", patterns.cycle_graph(5)),
-            ),
-        )
-        if verdict.member:
-            raise AssertionError("complement test rejected but no obstruction")
-        return verdict
-    if name == "block":
-        res = chordal_peo(g)
-        if not res.is_chordal:
-            return Verdict(False, res.hole, "hole")
-        hit = _find_embedding(g, patterns.diamond())
-        return Verdict(False, hit, "diamond") if hit is not None else Verdict(True)
-    if name == "2k2p3":
-        return _first_obstruction(
-            g, (("2k2", patterns.two_k2()), ("p3", patterns.path_graph(3)))
-        )
     if name == "kp":
         hit = find_clique_of_size(g, label.p)
         return Verdict(False, hit, f"k{label.p}") if hit is not None else Verdict(True)
@@ -522,7 +456,15 @@ def recognize(g: Graph, label: ClassLabel) -> Verdict:
             raise PatternTooLargeError(f"pattern has {label.pattern.n} > 8 vertices")
         hit = _find_embedding(g, label.pattern)
         return Verdict(False, hit, "pattern") if hit is not None else Verdict(True)
-    raise ValueError(f"unknown class label {name!r}")
+    if name not in _OBSTRUCTIONS:
+        raise ValueError(f"unknown class label {name!r}")
+    certified = _certified(g, name)
+    if certified:
+        return Verdict(True)
+    verdict = _first_obstruction(g, _OBSTRUCTIONS[name])
+    if verdict.member and certified is False:
+        raise AssertionError(f"{name} certificate rejected but no obstruction found")
+    return verdict
 
 
 def require(g: Graph, label: ClassLabel) -> None:
@@ -535,6 +477,14 @@ def require(g: Graph, label: ClassLabel) -> None:
 def require_split(g: Graph) -> SplitPartition:
     """The degree-test split partition, or `NotInClassError` with the obstruction."""
     part = split_partition(g)
-    if isinstance(part, Obstruction):
-        raise NotInClassError("split", part.vertices, part.name)
+    if part is None:
+        require(g, SPLIT)  # raises: recognize rejects what the degree test rejects
     return part
+
+
+def require_chordal(g: Graph) -> tuple[int, ...]:
+    """A perfect elimination ordering, or `NotInClassError` with a hole."""
+    peo = chordal_peo(g)
+    if peo is None:
+        require(g, CHORDAL)  # raises: recognize rejects what the PEO test rejects
+    return peo

@@ -75,11 +75,6 @@ class ThresholdCreation:
         return Graph.from_edges(self.n, edges)
 
 
-def _require_threshold(g: Graph) -> SplitPartition:
-    require(g, THRESHOLD)
-    return require_split(g)
-
-
 def _raw_threshold_intervals(
     g: Graph, part: SplitPartition
 ) -> list[tuple[int, int]]:
@@ -113,7 +108,8 @@ def threshold_interval_model(
 ) -> IntervalModel:
     """Interval model of a threshold graph from its nested neighborhoods."""
     if part is None:
-        part = _require_threshold(g)
+        require(g, THRESHOLD)
+        part = require_split(g)
     elif not is_valid_split_partition(g, part):
         raise GraphInputError("invalid split partition")
     raw = IntervalModel(
@@ -149,16 +145,15 @@ def bowtie_model(
     [L - r, L - l] with L = |I1| + |I2| + 3, so the two clique sides meet in
     the middle and the independent sides stay apart.
     """
-    p1 = _require_threshold(g1) if c1 is None else SplitPartition(
-        vset(c1), vset(set(g1.vertices()) - set(c1))
-    )
-    p2 = _require_threshold(g2) if c2 is None else SplitPartition(
-        vset(c2), vset(set(g2.vertices()) - set(c2))
-    )
-    for g, p in ((g1, p1), (g2, p2)):
-        if not is_valid_split_partition(g, p):
-            raise GraphInputError("invalid split partition")
+    parts = []
+    for g, c in ((g1, c1), (g2, c2)):
+        if c is not None:
+            part = SplitPartition(vset(c), vset(set(g.vertices()) - set(c)))
+            if not is_valid_split_partition(g, part):
+                raise GraphInputError("invalid split partition")
         require(g, THRESHOLD)
+        parts.append(require_split(g) if c is None else part)
+    p1, p2 = parts
     raw1 = _raw_threshold_intervals(g1, p1)
     raw2 = _raw_threshold_intervals(g2, p2)
     big = 2 * (len(p1.independent) + len(p2.independent) + 3)
@@ -206,7 +201,7 @@ def reduce_vc_to_ffree(
     bct = build_block_cut_tree(f)
     if len(bct.blocks) != 1 or f.n < 3:
         raise GraphInputError("pattern must be biconnected")
-    if not chordal_peo(f).is_chordal:
+    if chordal_peo(f) is None:
         raise GraphInputError("pattern must be chordal")
     if f.m == f.n * (f.n - 1) // 2:
         raise GraphInputError("pattern must not be complete")
@@ -230,7 +225,7 @@ def reduce_vc_to_ffree(
         )
     out = Graph.from_edges(nxt, sorted(set(edges)))
 
-    if not chordal_peo(out).is_chordal:
+    if chordal_peo(out) is None:
         raise AssertionError("gadget output is not chordal")
     anchored_everything = all(
         a in (x, y) or b in (x, y) for x, y in f.edges()

@@ -23,9 +23,9 @@ from .recognition import (
     CLUSTER,
     CO_CHAIN,
     NotInClassError,
-    chordal_peo,
     recognize,
     require,
+    require_chordal,
 )
 
 
@@ -258,10 +258,7 @@ def delete_to_cluster_block(g: Graph) -> DeletionResult:
 
 def list_maximal_cliques_chordal(g: Graph) -> list[VertexSet]:
     """All maximal cliques via the elimination ordering; at most n of them."""
-    res = chordal_peo(g)
-    if not res.is_chordal:
-        raise NotInClassError("chordal", res.hole, "hole")
-    order = res.peo.ordering
+    order = require_chordal(g)
     pos = {v: i for i, v in enumerate(order)}
     cands = sorted(
         {vset({v} | {u for u in g.adj[v] if pos[u] > pos[v]}) for v in order}
@@ -291,12 +288,9 @@ def delete_to_cochain_chordal(g: Graph) -> DeletionResult:
 
 def max_independent_set_chordal(g: Graph) -> VertexSet:
     """Maximum independent set: greedy scan of a perfect elimination order."""
-    res = chordal_peo(g)
-    if not res.is_chordal:
-        raise NotInClassError("chordal", res.hole, "hole")
     taken: list[int] = []
     banned: set[int] = set()
-    for v in res.peo.ordering:
+    for v in require_chordal(g):
         if v not in banned:
             taken.append(v)
             banned.update(g.adj[v])

@@ -15,10 +15,8 @@ from chordel import (
     SplitPartition,
     induced_subgraph,
 )
-from chordel.graph import remove_edges
 from chordel.recognition import (
     PatternTooLargeError,
-    _find_embedding,
     find_asteroidal_triple,
     is_valid_split_partition,
 )
@@ -47,22 +45,24 @@ def has_hole(g: Graph) -> bool:
     return False
 
 
+def _induces(g: Graph, sub, f: Graph) -> bool:
+    """Whether g[sub] is a copy of f, by trying every vertex permutation."""
+    h = induced(g, sub)
+    if h.m != f.m:
+        return False
+    return any(
+        all(
+            f.has_edge(u, v) == h.has_edge(perm[u], perm[v])
+            for u in range(f.n)
+            for v in range(u + 1, f.n)
+        )
+        for perm in permutations(range(f.n))
+    )
+
+
 def contains_induced(g: Graph, f: Graph) -> bool:
     """Induced subgraph isomorphism by permutation enumeration."""
-    if f.n > g.n:
-        return False
-    for sub in combinations(range(g.n), f.n):
-        h = induced(g, sub)
-        if h.m != f.m:
-            continue
-        for perm in permutations(range(f.n)):
-            if all(
-                f.has_edge(u, v) == h.has_edge(perm[u], perm[v])
-                for u in range(f.n)
-                for v in range(u + 1, f.n)
-            ):
-                return True
-    return False
+    return any(_induces(g, sub, f) for sub in combinations(range(g.n), f.n))
 
 
 def min_deletion(g: Graph, feasible) -> int:
@@ -268,34 +268,22 @@ def are_isomorphic(g1: Graph, g2: Graph) -> bool:
 def find_pattern(g: Graph, f: Graph) -> tuple | None:
     """Lexicographically least vertex set of g inducing a copy of f, or None.
 
-    The pattern is capped at 8 vertices; the lexicographic witness is built
-    greedily, one prefix element at a time, with the library's forced-vertex
-    embedding search.
+    Walks the f.n-subsets in lexicographic order; the pattern is capped at
+    8 vertices.
     """
     if f.n > 8:
         raise PatternTooLargeError(f"pattern has {f.n} > 8 vertices")
-    if f.n > g.n:
-        return None
-    if f.n == 0:
-        return ()
-    if _find_embedding(g, f) is None:
-        return None
-    prefix: list[int] = []
-    for _ in range(f.n):
-        lo = prefix[-1] + 1 if prefix else 0
-        for cand in range(lo, g.n):
-            trial = tuple(prefix + [cand])
-            if _find_embedding(g, f, forced=trial, floor=cand) is not None:
-                prefix.append(cand)
-                break
-        else:
-            raise AssertionError("extendable prefix lost its extension")
-    return tuple(prefix)
+    return next((sub for sub in combinations(range(g.n), f.n) if _induces(g, sub, f)), None)
 
 
 def has_asteroidal_triple(g: Graph) -> tuple:
     triple = find_asteroidal_triple(g)
     return triple is not None, triple
+
+
+def remove_edges(g: Graph, gone) -> Graph:
+    drop = {(min(u, v), max(u, v)) for u, v in gone}
+    return Graph.from_edges(g.n, [e for e in g.edges() if e not in drop])
 
 
 def remove_clique_edges(g: Graph, part: SplitPartition) -> tuple:

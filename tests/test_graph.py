@@ -16,7 +16,8 @@ from chordel import (
     to_graph6,
     write_edge_list,
 )
-from chordel.graph import add_edges, bipartition_classes, disjoint_union, remove_edges
+from bruteforce import remove_edges
+from chordel.graph import add_edges, bipartition_classes, disjoint_union
 from chordel import patterns as pat
 
 

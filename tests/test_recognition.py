@@ -22,7 +22,6 @@ from chordel import (
     UNIT_INTERVAL,
     Graph,
     NotInClassError,
-    Obstruction,
     PatternTooLargeError,
     SplitPartition,
     chordal_peo,
@@ -38,8 +37,11 @@ from chordel import (
 from chordel import recognition
 from chordel.recognition import (
     find_clique_of_size,
+    find_hole,
     is_perfect_elimination_ordering,
     maximum_cardinality_search,
+    require_chordal,
+    require_split,
 )
 from chordel import patterns as pat
 from chordel.randgen import gen_chordal, gen_split, gen_threshold, gen_tree
@@ -64,26 +66,32 @@ def check_cycle_witness(g, cycle):
 
 
 def test_chordal_peo_c4_hole():
-    res = chordal_peo(pat.cycle_graph(4))
-    assert not res.is_chordal
-    check_cycle_witness(pat.cycle_graph(4), res.hole)
+    c4 = pat.cycle_graph(4)
+    assert chordal_peo(c4) is None
+    with pytest.raises(NotInClassError) as err:
+        require_chordal(c4)
+    assert err.value.witness_name == "hole"
+    check_cycle_witness(c4, err.value.witness)
 
 
 def test_chordal_peo_trees():
     for seed in range(20):
         t = gen_tree(9, seed)
-        res = chordal_peo(t)
-        assert res.is_chordal
-        assert is_perfect_elimination_ordering(t, res.peo.ordering)
+        peo = chordal_peo(t)
+        assert peo is not None and require_chordal(t) == peo
+        assert is_perfect_elimination_ordering(t, peo)
 
 
 def test_chordal_hole_witness_on_randoms():
     for seed in range(80):
         g = random_graph(8, 0.45, seed)
-        res = chordal_peo(g)
-        assert res.is_chordal == (not bf.has_hole(g))
-        if not res.is_chordal:
-            check_cycle_witness(g, res.hole)
+        peo = chordal_peo(g)
+        assert (peo is not None) == (not bf.has_hole(g))
+        hole = find_hole(g)
+        assert (hole is None) == (peo is not None)
+        if hole is not None:
+            check_cycle_witness(g, hole)
+            assert recognize(g, CHORDAL) == recognition.Verdict(False, hole, "hole")
 
 
 def test_chordal_agrees_with_cycle_pattern_scan():
@@ -110,10 +118,11 @@ def test_split_partition_double_star():
 
 
 def test_split_partition_c5_obstruction():
-    part = split_partition(pat.cycle_graph(5))
-    assert isinstance(part, Obstruction)
-    assert part.name == "c5"
-    assert len(part.vertices) == 5
+    assert split_partition(pat.cycle_graph(5)) is None
+    with pytest.raises(NotInClassError) as err:
+        require_split(pat.cycle_graph(5))
+    assert err.value.witness_name == "c5"
+    assert len(err.value.witness) == 5
 
 
 def test_split_partition_complete_graph():
@@ -123,9 +132,9 @@ def test_split_partition_complete_graph():
 
 def test_split_obstruction_kinds():
     for g, name in ((pat.two_k2(), "2k2"), (pat.cycle_graph(4), "c4")):
-        part = split_partition(g)
-        assert isinstance(part, Obstruction) and part.name == name
-        sub = bf.induced(g, part.vertices)
+        verdict = recognize(g, SPLIT)
+        assert split_partition(g) is None and verdict.witness_name == name
+        sub = bf.induced(g, verdict.witness)
         ref = {"2k2": pat.two_k2(), "c4": pat.cycle_graph(4)}[name]
         assert are_isomorphic(sub, ref)
 
@@ -139,7 +148,7 @@ def test_split_partition_matches_bruteforce():
             assert isinstance(got, SplitPartition)
             assert got.clique in parts
         else:
-            assert isinstance(got, Obstruction)
+            assert got is None
 
 
 def test_enumerate_split_partitions_k2():
@@ -414,17 +423,11 @@ def test_chordal_generated_instances():
         assert recognize(gen_chordal(9, seed), CHORDAL).member
 
 
-CERTIFIED = (
-    (CLUSTER, (("p3", pat.path_graph(3)),)),
-    (TWO_K2_P3_FREE, (("2k2", pat.two_k2()), ("p3", pat.path_graph(3)))),
-    (COMPLETE_SPLIT, (("co-p3", pat.co_p3()), ("c4", pat.cycle_graph(4)))),
-)
+CERTIFIED = (CLUSTER, TWO_K2_P3_FREE, COMPLETE_SPLIT)
 
 
-@pytest.mark.parametrize(
-    "label, pats", CERTIFIED, ids=[label.name for label, _ in CERTIFIED]
-)
-def test_certificate_first_recognition_matches_obstruction_search(label, pats, monkeypatch):
+@pytest.mark.parametrize("label", CERTIFIED, ids=[label.name for label in CERTIFIED])
+def test_certificate_first_recognition_matches_obstruction_search(label, monkeypatch):
     # recognize falls back to the same search when the certificate fails;
     # a small cache lets each graph be searched once for both calls
     search = functools.lru_cache(maxsize=4)(recognition._first_obstruction)
@@ -434,6 +437,6 @@ def test_certificate_first_recognition_matches_obstruction_search(label, pats, m
         for mask in range(1 << len(pairs)):
             g = Graph.from_edges(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
             got = recognize(g, label)
-            want = search(g, pats)
+            want = search(g, recognition._OBSTRUCTIONS[label.name])
             assert got == want, (n, mask)
             assert recognition._certified(g, label.name) == want.member, (n, mask)

@@ -130,6 +130,25 @@ def test_bowtie_model_two_single_edges_realizes_p4():
     assert are_isomorphic(model_to_graph(m), pat.path_graph(4))
 
 
+@pytest.mark.parametrize("given_sides", [False, True])
+def test_bowtie_model_recognizes_each_factor_once(given_sides, monkeypatch):
+    from chordel import recognition
+
+    calls = []
+
+    def counted(g, label):
+        calls.append(label.name)
+        return real(g, label)
+
+    real = recognition.recognize
+    monkeypatch.setattr(recognition, "recognize", counted)
+    g1, _ = gen_threshold(6, 1)
+    g2, _ = gen_threshold(5, 2)
+    sides = (split_partition(g1).clique, split_partition(g2).clique)
+    bowtie_model(g1, g2, *(sides if given_sides else ()))
+    assert calls == ["threshold", "threshold"]
+
+
 def test_bowtie_model_empty_second_factor():
     g, _ = gen_threshold(6, 11)
     empty = pat.empty_graph(0)
