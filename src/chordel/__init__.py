@@ -7,10 +7,12 @@ certifies all of the above at small scale.
 """
 
 from .graph import (
+    BlockCutTree,
     DeletionResult,
     Graph,
     GraphInputError,
     VertexSet,
+    build_block_cut_tree,
     complement,
     connected_components,
     delete_vertices,
@@ -78,8 +80,6 @@ from .split_solvers import (
     delete_to_unit_interval_split,
 )
 from .structural import (
-    BlockCutTree,
-    build_block_cut_tree,
     delete_to_cluster_block,
     delete_to_cluster_tree,
     delete_to_cochain_chordal,

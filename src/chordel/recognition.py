@@ -7,6 +7,13 @@ chordal plus asteroidal-triple-free, unit interval additionally claw-free,
 and the remaining classes through their finite obstruction sets.  Each base
 class's obstructions are listed once, in `_OBSTRUCTIONS`, and `recognize` is
 the only place that turns them into a rejecting `Verdict`.
+
+Split, threshold, trivially perfect, cluster, complete split, co-chain,
+block and 2K2/P3-free graphs are accepted by a near-linear certificate
+(`_certified`); chordal, interval and unit interval graphs by a PEO and
+the hole, asteroidal-triple and claw searches.  The obstruction search runs
+only on rejection, and skips the patterns that a split partition or a PEO
+has already ruled out.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ from .graph import (
     Graph,
     VertexSet,
     bipartition_classes,
+    build_block_cut_tree,
     complement,
     is_clique,
     is_independent,
@@ -119,30 +127,33 @@ def _find_embedding(g: Graph, f: Graph) -> VertexSet | None:
         return None
     # high-degree pattern vertices first: fail fast
     order = sorted(f.vertices(), key=lambda u: (-f.degree(u), u))
-    image: dict[int, int] = {}
+    # per depth: the g vertices of large enough degree, and the earlier
+    # pattern vertices' adjacency to the one placed there
+    degree = [len(nbrs) for nbrs in g.adj]
+    fits = [[w for w in g.vertices() if degree[w] >= f.degree(u)] for u in order]
+    wants = [[f.has_edge(u, x) for x in order[:k]] for k, u in enumerate(order)]
+    chosen: list[int] = []
     used: set[int] = set()
 
     def extend(k: int) -> VertexSet | None:
         if k == len(order):
             return vset(used)
-        u = order[k]
-        for w in g.vertices():
-            if w in used or g.degree(w) < f.degree(u):
+        want = wants[k]
+        for w in fits[k]:
+            if w in used:
                 continue
-            ok = True
-            for x, y in image.items():
-                if f.has_edge(u, x) != g.has_edge(w, y):
-                    ok = False
+            nbrs = g.adj[w]
+            for y, e in zip(chosen, want):
+                if (y in nbrs) != e:
                     break
-            if not ok:
-                continue
-            image[u] = w
-            used.add(w)
-            hit = extend(k + 1)
-            if hit is not None:
-                return hit
-            del image[u]
-            used.remove(w)
+            else:
+                chosen.append(w)
+                used.add(w)
+                hit = extend(k + 1)
+                if hit is not None:
+                    return hit
+                chosen.pop()
+                used.remove(w)
         return None
 
     return extend(0)
@@ -286,6 +297,14 @@ def split_partition(g: Graph) -> SplitPartition | None:
     return part
 
 
+def nested_by_degree(g: Graph, vertices: Iterable[int]) -> list[int] | None:
+    """`vertices` by ascending degree when each one's neighbourhood lies
+    within the next one's, else None."""
+    order = sorted(vertices, key=lambda v: (g.degree(v), v))
+    nested = all(g.adj[a] <= g.adj[b] for a, b in zip(order, order[1:]))
+    return order if nested else None
+
+
 def enumerate_split_partitions(g: Graph) -> list[SplitPartition]:
     """All split partitions, grown from the base one by single-vertex moves.
 
@@ -394,9 +413,22 @@ _OBSTRUCTIONS = {
 }
 
 
-def _hole(g: Graph) -> tuple[int, ...] | None:
+# Cheap positive tests and the names each one rules out when it succeeds: a
+# split graph has no 2K2, C4 or C5, and a chordal graph has no C4 or C5.
+_RULED_OUT = (("split", ("2k2", "c4", "c5")), ("peo", ("c4", "c5")))
+
+
+def _fact(g: Graph, test: str, known: dict) -> SplitPartition | tuple[int, ...] | None:
+    """The split partition ("split") or PEO ("peo") of g, or None when g has
+    none; computed at most once per `known`."""
+    if test not in known:
+        known[test] = split_partition(g) if test == "split" else chordal_peo(g)
+    return known[test]
+
+
+def _hole(g: Graph, known: dict) -> tuple[int, ...] | None:
     """A hole, searched for only when the MCS order is not a PEO."""
-    if chordal_peo(g) is not None:
+    if _fact(g, "peo", known) is not None:
         return None
     hole = find_hole(g)
     if hole is None:
@@ -404,10 +436,23 @@ def _hole(g: Graph) -> tuple[int, ...] | None:
     return hole
 
 
-def _first_obstruction(g: Graph, names: tuple[str, ...]) -> Verdict:
+def _first_obstruction(g: Graph, names: tuple[str, ...], known: dict) -> Verdict:
+    """The first of `names` that g contains.  Before the first name a cheap
+    test could rule out, that test runs (once); a name it rules out is
+    skipped, since its search would find nothing."""
+    ruled_out: set[str] = set()
     for name in names:
+        for test, skips in _RULED_OUT:
+            if (
+                name in skips
+                and name not in ruled_out
+                and _fact(g, test, known) is not None
+            ):
+                ruled_out.update(skips)
+        if name in ruled_out:
+            continue
         if name == "hole":
-            hit = _hole(g)
+            hit = _hole(g, known)
         elif name == "asteroidal-triple":
             hit = find_asteroidal_triple(g)
         else:
@@ -417,7 +462,7 @@ def _first_obstruction(g: Graph, names: tuple[str, ...]) -> Verdict:
     return Verdict(True)
 
 
-def _certified(g: Graph, name: str) -> bool | None:
+def _certified(g: Graph, name: str, known: dict) -> bool | None:
     """Certificate checked before the obstruction search: True or False for
     a class that has one, None for a class that has none."""
     if name == "cluster":  # adjacent vertices have equal closed neighbourhoods:
@@ -431,21 +476,36 @@ def _certified(g: Graph, name: str) -> bool | None:
         rest = [v for v in g.vertices() if g.degree(v) < g.n - 1]
         return all(g.degree(v) == g.n - len(rest) for v in rest)
     if name == "split":
-        return split_partition(g) is not None
-    if name == "co-chain":  # the complement is a 2K2-free bipartite graph
+        return _fact(g, "split", known) is not None
+    if name == "threshold":  # split, with nested independent-side neighbourhoods
+        part = _fact(g, "split", known)
+        return part is not None and nested_by_degree(g, part.independent) is not None
+    if name == "trivially-perfect":  # adjacent closed neighbourhoods are nested
+        closed = [g.closed_neighborhood(v) for v in g.vertices()]
+        return all(
+            closed[u] <= closed[v]
+            for u in g.vertices()
+            for v in g.adj[u]
+            if len(closed[u]) <= len(closed[v])
+        )
+    if name == "co-chain":  # the complement is bipartite with nested neighbourhoods
         co = complement(g)
-        return bipartition_classes(co) is not None and _find_embedding(
-            co, _PATTERNS["2k2"]
-        ) is None
+        sides = bipartition_classes(co)
+        return sides is not None and nested_by_degree(co, sides[0]) is not None
+    if name == "block":  # every biconnected component is a clique
+        blocks = build_block_cut_tree(g).blocks
+        return sum(len(b) * (len(b) - 1) for b in blocks) // 2 == g.m
     return None
 
 
-def recognize(g: Graph, label: ClassLabel) -> Verdict:
+def recognize(g: Graph, label: ClassLabel, known: dict | None = None) -> Verdict:
     """True iff g belongs to the class; otherwise a concrete obstruction.
 
     A base class tries its `_certified` test first and searches its
     `_OBSTRUCTIONS` only when that rejects, so an obstruction must turn up,
-    or when the class has no certificate.
+    or when the class has no certificate.  `known` collects the split
+    partition and PEO computed on the way (see `_fact`), so a caller can
+    read them back instead of computing them again.
     """
     name = label.name
     if name == "kp":
@@ -458,33 +518,32 @@ def recognize(g: Graph, label: ClassLabel) -> Verdict:
         return Verdict(False, hit, "pattern") if hit is not None else Verdict(True)
     if name not in _OBSTRUCTIONS:
         raise ValueError(f"unknown class label {name!r}")
-    certified = _certified(g, name)
+    known = {} if known is None else known
+    certified = _certified(g, name, known)
     if certified:
         return Verdict(True)
-    verdict = _first_obstruction(g, _OBSTRUCTIONS[name])
+    verdict = _first_obstruction(g, _OBSTRUCTIONS[name], known)
     if verdict.member and certified is False:
         raise AssertionError(f"{name} certificate rejected but no obstruction found")
     return verdict
 
 
-def require(g: Graph, label: ClassLabel) -> None:
+def require(g: Graph, label: ClassLabel, known: dict | None = None) -> None:
     """Raise `NotInClassError` with the obstruction unless g is in the class."""
-    verdict = recognize(g, label)
+    verdict = recognize(g, label, known)
     if not verdict.member:
         raise NotInClassError(label.spelling, verdict.witness, verdict.witness_name)
 
 
 def require_split(g: Graph) -> SplitPartition:
     """The degree-test split partition, or `NotInClassError` with the obstruction."""
-    part = split_partition(g)
-    if part is None:
-        require(g, SPLIT)  # raises: recognize rejects what the degree test rejects
-    return part
+    known: dict = {}
+    require(g, SPLIT, known)
+    return known["split"]
 
 
 def require_chordal(g: Graph) -> tuple[int, ...]:
     """A perfect elimination ordering, or `NotInClassError` with a hole."""
-    peo = chordal_peo(g)
-    if peo is None:
-        require(g, CHORDAL)  # raises: recognize rejects what the PEO test rejects
-    return peo
+    known: dict = {}
+    require(g, CHORDAL, known)
+    return known["peo"]

@@ -18,6 +18,7 @@ from .graph import (
     GraphInputError,
     VertexSet,
     add_edges,
+    build_block_cut_tree,
     disjoint_union,
     vset,
 )
@@ -30,11 +31,11 @@ from .recognition import (
     THRESHOLD,
     chordal_peo,
     is_valid_split_partition,
+    nested_by_degree,
     recognize,
     require,
     require_split,
 )
-from .structural import build_block_cut_tree
 
 
 @dataclass(frozen=True)
@@ -85,10 +86,9 @@ def _raw_threshold_intervals(
     vertices starts at the least index it sees and runs to |I|+2; the rest
     of the clique occupies [|I|+1, |I|+2].
     """
-    indep = sorted(part.independent, key=lambda v: (g.degree(v), v))
-    for a, b in zip(indep, indep[1:]):
-        if not g.adj[a] <= g.adj[b]:
-            raise AssertionError("independent-side neighborhoods not nested")
+    indep = nested_by_degree(g, part.independent)
+    if indep is None:
+        raise AssertionError("independent-side neighborhoods not nested")
     rank = {v: i for i, v in enumerate(indep, start=1)}
     k = len(indep)
     spans: dict[int, tuple[int, int]] = {}
@@ -103,15 +103,21 @@ def _raw_threshold_intervals(
     return [spans[v] for v in range(g.n)]
 
 
+def _threshold_partition(g: Graph, part: SplitPartition | None) -> SplitPartition:
+    """`part` after checking it, or the degree-test partition when it is None;
+    either way g must be threshold, else `NotInClassError`."""
+    if part is not None and not is_valid_split_partition(g, part):
+        raise GraphInputError("invalid split partition")
+    known: dict = {}
+    require(g, THRESHOLD, known)  # the threshold certificate leaves a split partition
+    return known["split"] if part is None else part
+
+
 def threshold_interval_model(
     g: Graph, part: SplitPartition | None = None, normalize: bool = True
 ) -> IntervalModel:
     """Interval model of a threshold graph from its nested neighborhoods."""
-    if part is None:
-        require(g, THRESHOLD)
-        part = require_split(g)
-    elif not is_valid_split_partition(g, part):
-        raise GraphInputError("invalid split partition")
+    part = _threshold_partition(g, part)
     raw = IntervalModel(
         tuple((Fraction(l), Fraction(r)) for l, r in _raw_threshold_intervals(g, part))
     )
@@ -145,15 +151,12 @@ def bowtie_model(
     [L - r, L - l] with L = |I1| + |I2| + 3, so the two clique sides meet in
     the middle and the independent sides stay apart.
     """
-    parts = []
-    for g, c in ((g1, c1), (g2, c2)):
-        if c is not None:
-            part = SplitPartition(vset(c), vset(set(g.vertices()) - set(c)))
-            if not is_valid_split_partition(g, part):
-                raise GraphInputError("invalid split partition")
-        require(g, THRESHOLD)
-        parts.append(require_split(g) if c is None else part)
-    p1, p2 = parts
+    p1, p2 = (
+        _threshold_partition(
+            g, None if c is None else SplitPartition(vset(c), vset(set(g.vertices()) - set(c)))
+        )
+        for g, c in ((g1, c1), (g2, c2))
+    )
     raw1 = _raw_threshold_intervals(g1, p1)
     raw2 = _raw_threshold_intervals(g2, p2)
     big = 2 * (len(p1.independent) + len(p2.independent) + 3)

@@ -7,12 +7,11 @@ maximum independent set is the perfect-elimination greedy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .graph import (
     DeletionResult,
     Graph,
     VertexSet,
+    build_block_cut_tree,
     connected_components,
     delete_vertices,
     induced_subgraph,
@@ -27,84 +26,6 @@ from .recognition import (
     require,
     require_chordal,
 )
-
-
-@dataclass(frozen=True)
-class BlockCutTree:
-    """Blocks, cut vertices, and the bipartite block/cut-vertex incidences."""
-
-    blocks: tuple[VertexSet, ...]
-    cut_vertices: VertexSet
-    edges: tuple[tuple[int, int], ...]  # (block index, cut vertex id)
-
-
-def build_block_cut_tree(g: Graph) -> BlockCutTree:
-    """Biconnected components by the classic lowpoint DFS, iterative form.
-
-    Isolated vertices become singleton blocks so every vertex lives in at
-    least one block.
-    """
-    disc = [-1] * g.n
-    low = [0] * g.n
-    timer = 0
-    blocks: list[VertexSet] = []
-    cuts: set[int] = set()
-    estack: list[tuple[int, int]] = []
-
-    for root in g.vertices():
-        if disc[root] != -1:
-            continue
-        if not g.adj[root]:
-            blocks.append((root,))
-            continue
-        root_children = 0
-        disc[root] = low[root] = timer
-        timer += 1
-        frames: list[tuple[int, int, list[int], int]] = [(root, -1, sorted(g.adj[root]), 0)]
-        while frames:
-            v, parent, nbrs, idx = frames[-1]
-            pushed = False
-            while idx < len(nbrs):
-                w = nbrs[idx]
-                idx += 1
-                if w == parent:
-                    continue
-                if disc[w] == -1:
-                    estack.append((v, w))
-                    disc[w] = low[w] = timer
-                    timer += 1
-                    if v == root:
-                        root_children += 1
-                    frames[-1] = (v, parent, nbrs, idx)
-                    frames.append((w, v, sorted(g.adj[w]), 0))
-                    pushed = True
-                    break
-                if disc[w] < disc[v]:
-                    estack.append((v, w))
-                    low[v] = min(low[v], disc[w])
-            if pushed:
-                continue
-            frames.pop()
-            if frames:
-                pv = frames[-1][0]
-                low[pv] = min(low[pv], low[v])
-                if low[v] >= disc[pv]:
-                    comp: set[int] = set()
-                    while True:
-                        e = estack.pop()
-                        comp.update(e)
-                        if e == (pv, v):
-                            break
-                    blocks.append(vset(comp))
-                    if pv != root:
-                        cuts.add(pv)
-        if root_children > 1:
-            cuts.add(root)
-
-    edges = tuple(
-        (bi, v) for bi, blk in enumerate(blocks) for v in blk if v in cuts
-    )
-    return BlockCutTree(tuple(blocks), vset(cuts), edges)
 
 
 def _local_clique(g: Graph, comp: VertexSet) -> bool:

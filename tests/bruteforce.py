@@ -16,8 +16,12 @@ from chordel import (
     induced_subgraph,
 )
 from chordel.recognition import (
+    _PATTERNS,
     PatternTooLargeError,
+    Verdict,
+    _find_embedding,
     find_asteroidal_triple,
+    find_hole,
     is_valid_split_partition,
 )
 
@@ -81,6 +85,116 @@ def max_induced(g: Graph, feasible) -> int:
             if feasible(induced(g, sub)):
                 return k
     raise AssertionError("empty graph rejected")
+
+
+def labelled_graphs(n: int):
+    """Every graph on vertices 0..n-1, with its edge mask over the pairs."""
+    pairs = list(combinations(range(n), 2))
+    for mask in range(1 << len(pairs)):
+        yield mask, Graph.from_edges(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
+
+
+# Sorted induced degrees of each named obstruction on three to five vertices;
+# on at most four vertices the degree sequence fixes the graph.
+OBSTRUCTION_DEGREES = {
+    "i3": (0, 0, 0),
+    "co-p3": (0, 1, 1),
+    "p3": (1, 1, 2),
+    "2k2": (1, 1, 1, 1),
+    "p4": (1, 1, 2, 2),
+    "claw": (1, 1, 1, 3),
+    "c4": (2, 2, 2, 2),
+    "diamond": (2, 2, 3, 3),
+    "c5": (2, 2, 2, 2, 2),
+}
+_NAMED = {degs: name for name, degs in OBSTRUCTION_DEGREES.items()}
+
+
+def _reach(bits: list, start: int, allowed: int) -> int:
+    """Bitmask of the vertices reachable from `start` inside `allowed`."""
+    seen = frontier = 1 << start
+    while frontier:
+        v = (frontier & -frontier).bit_length() - 1
+        frontier &= frontier - 1
+        new = bits[v] & allowed & ~seen
+        seen |= new
+        frontier |= new
+    return seen
+
+
+def obstructions_in(g: Graph, names) -> set:
+    """Which of the obstruction `names` g contains, by enumerating vertex
+    subsets: the small patterns by their induced degrees, a hole as a
+    connected 2-regular subset, an asteroidal triple from the definition.
+
+    Every hole of a graph on at most 6 vertices has at most 6 vertices, so
+    larger graphs are refused.
+    """
+    if g.n > 6:
+        raise ValueError("the subset enumeration is for at most 6 vertices")
+    bits = [sum(1 << u for u in g.adj[v]) for v in g.vertices()]
+    found = set()
+    for k in range(3, g.n + 1):
+        for sub in combinations(range(g.n), k):
+            mask = sum(1 << v for v in sub)
+            degs = tuple(sorted((bits[v] & mask).bit_count() for v in sub))
+            if degs in _NAMED:
+                found.add(_NAMED[degs])
+            if k >= 4 and degs[0] == degs[-1] == 2 and _reach(bits, sub[0], mask) == mask:
+                found.add("hole")
+    if "asteroidal-triple" in names and any(
+        is_asteroidal(g, triple) for triple in combinations(range(g.n), 3)
+    ):
+        found.add("asteroidal-triple")
+    return found & set(names)
+
+
+def is_asteroidal(g: Graph, triple) -> bool:
+    """Each two of the triple are joined by a path avoiding the third's
+    closed neighbourhood."""
+    bits = [sum(1 << u for u in g.adj[v]) for v in g.vertices()]
+    x, y, z = triple
+    for a, b, c in ((x, y, z), (x, z, y), (y, z, x)):
+        banned = bits[c] | 1 << c
+        if banned >> a & 1 or not _reach(bits, a, ((1 << g.n) - 1) & ~banned) >> b & 1:
+            return False
+    return True
+
+
+def unpruned_witness(g: Graph, name: str) -> tuple:
+    """The library's own search for one obstruction name that g contains,
+    asked directly: the witness an unpruned, certificate-free recognizer
+    reports.  Raises `AssertionError` unless it is that obstruction."""
+    if name == "hole":
+        hit = find_hole(g)
+        ok = hit is not None and len(hit) >= 4 and all(
+            g.has_edge(u, v) == (j - i in (1, len(hit) - 1))
+            for i, u in enumerate(hit)
+            for j, v in enumerate(hit)
+            if i < j
+        )
+    elif name == "asteroidal-triple":
+        hit = find_asteroidal_triple(g)
+        ok = hit is not None and is_asteroidal(g, hit)
+    else:
+        hit = _find_embedding(g, _PATTERNS[name])
+        ok = hit is not None and tuple(
+            sorted(sum(g.has_edge(u, v) for v in hit) for u in hit)
+        ) == OBSTRUCTION_DEGREES[name]
+    if not ok:
+        raise AssertionError(f"{name} witness {hit} is not an induced {name}")
+    return hit
+
+
+def reference_verdict(names, present: set, witness) -> Verdict:
+    """`recognize` for a base class with obstructions `names`, searched in
+    order with no certificate and no pruning.  `present` is
+    `obstructions_in(g, names)` and `witness(name)` is
+    `unpruned_witness(g, name)`, possibly cached across classes."""
+    first = next((name for name in names if name in present), None)
+    if first is None:
+        return Verdict(True)
+    return Verdict(False, witness(first), first)
 
 
 def split_partitions(g: Graph) -> set:

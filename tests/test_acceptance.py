@@ -331,3 +331,18 @@ def test_criterion_10_interval_solvers_at_n80():
         kept = solver(m)
         assert kept
         finish(f"10 interval -> {name} at n = 80", t0, 0.25)
+
+
+def test_criterion_11_certificates_answer_members_fast():
+    thr, _ = gen_threshold(200, 1)
+    for name, g, label, member in (
+        ("threshold on a threshold graph, n = 200", thr, THRESHOLD, True),
+        ("trivially perfect on a threshold graph, n = 200", thr, TRIVIALLY_PERFECT, True),
+        ("block on K64", pat.complete_graph(64), BLOCK, True),
+        ("block on a block graph, n = 256", gen_block(256, 1), BLOCK, True),
+        ("threshold on a split graph, n = 80", gen_split(80, 0.5, 1), THRESHOLD, False),
+    ):
+        t0 = time.perf_counter()
+        verdict = recognize(g, label)
+        assert verdict.member == member
+        finish(f"11 {name}", t0, 0.25)

@@ -1,3 +1,4 @@
+import collections
 import functools
 import inspect
 import random
@@ -123,6 +124,32 @@ def test_split_partition_c5_obstruction():
         require_split(pat.cycle_graph(5))
     assert err.value.witness_name == "c5"
     assert len(err.value.witness) == 5
+
+
+@pytest.mark.parametrize(
+    "require_helper,g,kind,calls",
+    [
+        (require_split, pat.two_k2(), "2k2", {"split_partition": 1}),
+        (require_split, pat.cycle_graph(5), "c5",
+         {"split_partition": 1, "maximum_cardinality_search": 1}),
+        (require_chordal, pat.cycle_graph(5), "hole", {"maximum_cardinality_search": 1}),
+    ],
+    ids=["split-2k2", "split-c5", "chordal-c5"],
+)
+def test_require_helpers_run_each_test_once_on_rejection(
+    require_helper, g, kind, calls, monkeypatch
+):
+    counts = collections.Counter()
+    for fn in ("split_partition", "maximum_cardinality_search"):
+        def counted(h, _real=getattr(recognition, fn), _fn=fn):
+            counts[_fn] += 1
+            return _real(h)
+
+        monkeypatch.setattr(recognition, fn, counted)
+    with pytest.raises(NotInClassError) as err:
+        require_helper(g)
+    assert err.value.witness_name == kind
+    assert counts == calls
 
 
 def test_split_partition_complete_graph():
@@ -423,20 +450,44 @@ def test_chordal_generated_instances():
         assert recognize(gen_chordal(9, seed), CHORDAL).member
 
 
-CERTIFIED = (CLUSTER, TWO_K2_P3_FREE, COMPLETE_SPLIT)
+CERTIFIED = (
+    CLUSTER, TWO_K2_P3_FREE, COMPLETE_SPLIT, THRESHOLD, TRIVIALLY_PERFECT, CO_CHAIN, BLOCK,
+)
+
+
+@functools.cache
+def _exhaustive_mismatches() -> dict:
+    """Every labelled graph with at most 5 vertices for every base class, and
+    with 6 vertices for the certified ones, checked against the unpruned
+    reference: one enumeration shared by the tests below.  Keys are
+    (check, class name), values the first few (n, edge mask) that fail."""
+    bad: dict = {}
+    certified = [label.name for label in CERTIFIED]
+    for n in range(7):
+        names = list(recognition.BASE_LABELS) if n <= 5 else certified
+        wanted = {x for name in names for x in recognition._OBSTRUCTIONS[name]}
+        for mask, g in bf.labelled_graphs(n):
+            present = bf.obstructions_in(g, wanted)
+            witness = functools.cache(functools.partial(bf.unpruned_witness, g))
+            for name in names:
+                want = bf.reference_verdict(recognition._OBSTRUCTIONS[name], present, witness)
+                checks = [("verdict", recognize(g, recognition.BASE_LABELS[name]) == want)]
+                if name in certified:
+                    cert = recognition._certified(g, name, {})
+                    checks.append(("certificate", cert == want.member))
+                for check, ok in checks:
+                    if not ok:
+                        bad.setdefault((check, name), []).append((n, mask))
+    return {key: fails[:5] for key, fails in bad.items()}
+
+
+@pytest.mark.parametrize("name", list(recognition.BASE_LABELS))
+def test_recognize_matches_unpruned_reference(name):
+    # same verdict and byte-identical witness as the search with no
+    # certificate and no pruning, on every small labelled graph
+    assert _exhaustive_mismatches().get(("verdict", name)) is None
 
 
 @pytest.mark.parametrize("label", CERTIFIED, ids=[label.name for label in CERTIFIED])
-def test_certificate_first_recognition_matches_obstruction_search(label, monkeypatch):
-    # recognize falls back to the same search when the certificate fails;
-    # a small cache lets each graph be searched once for both calls
-    search = functools.lru_cache(maxsize=4)(recognition._first_obstruction)
-    monkeypatch.setattr(recognition, "_first_obstruction", search)
-    for n in range(7):
-        pairs = list(combinations(range(n), 2))
-        for mask in range(1 << len(pairs)):
-            g = Graph.from_edges(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
-            got = recognize(g, label)
-            want = search(g, recognition._OBSTRUCTIONS[label.name])
-            assert got == want, (n, mask)
-            assert recognition._certified(g, label.name) == want.member, (n, mask)
+def test_certificate_first_recognition_matches_obstruction_search(label):
+    assert _exhaustive_mismatches().get(("certificate", label.name)) is None

@@ -85,6 +85,15 @@ def test_threshold_model_rejects_nonthreshold():
         threshold_interval_model(pat.path_graph(4))
 
 
+def test_threshold_model_checks_the_class_when_given_a_partition():
+    from chordel import NotInClassError, SplitPartition
+
+    # a valid split partition of a graph that is not threshold
+    with pytest.raises(NotInClassError) as err:
+        threshold_interval_model(pat.path_graph(4), SplitPartition((1, 2), (0, 3)))
+    assert (err.value.witness_name, err.value.witness) == ("p4", (0, 1, 2, 3))
+
+
 def test_bowtie_two_vertices():
     k1 = pat.complete_graph(1)
     assert bowtie(k1, (0,), k1, (0,)).edges() == [(0, 1)]
@@ -136,9 +145,9 @@ def test_bowtie_model_recognizes_each_factor_once(given_sides, monkeypatch):
 
     calls = []
 
-    def counted(g, label):
+    def counted(g, label, known=None):
         calls.append(label.name)
-        return real(g, label)
+        return real(g, label, known)
 
     real = recognition.recognize
     monkeypatch.setattr(recognition, "recognize", counted)
