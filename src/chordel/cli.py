@@ -53,6 +53,7 @@ from .split_solvers import (
     delete_to_unit_interval_split,
 )
 from .structural import (
+    _verified,
     delete_to_cluster_block,
     delete_to_cluster_tree,
     delete_to_cochain_chordal,
@@ -68,6 +69,11 @@ EXIT_SELF_CHECK = 3
 
 def _digest(g: Graph) -> str:
     return hashlib.sha256(write_edge_list(g).encode()).hexdigest()[:12]
+
+
+def _about(path: str, g: Graph) -> dict:
+    """The record fields naming an input graph."""
+    return {"input": path, "digest": _digest(g), "n": g.n, "m": g.m}
 
 
 def _emit(report: dict, fmt: str) -> None:
@@ -126,10 +132,7 @@ def _cmd_recognize(args, fmt: str) -> int:
         elapsed = (time.perf_counter() - t0) * 1000
         report = {
             "command": "recognize",
-            "input": path,
-            "digest": _digest(g),
-            "n": g.n,
-            "m": g.m,
+            **_about(path, g),
             "class": label.spelling,
             "member": verdict.member,
             "elapsed_ms": round(elapsed, 3),
@@ -176,7 +179,7 @@ def _solve_one(args, instance) -> DeletionResult:
         if args.p == 2:
             keep = max_independent_set_chordal(instance)
             deleted = vset(set(instance.vertices()) - set(keep))
-            return DeletionResult(deleted, kp_free(2), "chordal-to-k2-free")
+            return _verified(instance, deleted, kp_free(2), "chordal-to-k2-free")
         target, why = kp_free(args.p), f"no polynomial routine wired for p={args.p}"
     elif problem == "chordal-to-split":
         target, why = SPLIT, "chordal-to-split has no implemented polynomial routine"
@@ -206,10 +209,7 @@ def _cmd_solve(args, fmt: str) -> int:
         report = {
             "command": "solve",
             "problem": problem,
-            "input": path,
-            "digest": _digest(g),
-            "n": g.n,
-            "m": g.m,
+            **_about(path, g),
             "k": result.size,
             "deleted": _labelled(result.deleted, labels),
             "target": result.target_class.spelling,
@@ -245,10 +245,7 @@ def _cmd_oracle(args, fmt: str) -> int:
         elapsed = (time.perf_counter() - t0) * 1000
         report = {
             "command": "oracle",
-            "input": path,
-            "digest": _digest(g),
-            "n": g.n,
-            "m": g.m,
+            **_about(path, g),
             "class": label.spelling,
             "elapsed_ms": round(elapsed, 3),
         }
@@ -259,6 +256,18 @@ def _cmd_oracle(args, fmt: str) -> int:
             report["k"] = result.size
             report["deleted"] = _labelled(result.deleted, labels)
         _emit(report, fmt)
+    return EXIT_OK
+
+
+def _write_output(path: str | None, text: str, record: dict, g: Graph, fmt: str) -> int:
+    """Write `text` to `path` and emit `record` with the digest of g, or,
+    without a path, write `text` to stdout."""
+    if not path:
+        sys.stdout.write(text)
+    else:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        _emit({**record, "digest": _digest(g)}, fmt)
     return EXIT_OK
 
 
@@ -292,25 +301,9 @@ def _cmd_reduce(args, fmt: str) -> int:
         raise GraphInputError(f"unknown reduction {args.source!r} -> {args.target!r}")
 
     text = write_edge_list(out, out_labels, comments=tuple(comments))
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        _emit(
-            {
-                "command": "reduce",
-                "from": args.source,
-                "to": args.target,
-                "input": path,
-                "output": args.output,
-                "n": out.n,
-                "m": out.m,
-                "digest": _digest(out),
-            },
-            fmt,
-        )
-    else:
-        sys.stdout.write(text)
-    return EXIT_OK
+    record = {"command": "reduce", "from": args.source, "to": args.target,
+              "input": path, "output": args.output, "n": out.n, "m": out.m}
+    return _write_output(args.output, text, record, out, fmt)
 
 
 def _cmd_generate(args, fmt: str) -> int:
@@ -340,17 +333,9 @@ def _cmd_generate(args, fmt: str) -> int:
     else:
         raise GraphInputError(f"unknown generator class {name!r}")
     text = write_edge_list(g, comments=comments)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        _emit(
-            {"command": "generate", "class": name, "n": g.n, "m": g.m,
-             "seed": seed, "output": args.output, "digest": _digest(g)},
-            fmt,
-        )
-    else:
-        sys.stdout.write(text)
-    return EXIT_OK
+    record = {"command": "generate", "class": name, "n": g.n, "m": g.m,
+              "seed": seed, "output": args.output}
+    return _write_output(args.output, text, record, g, fmt)
 
 
 def _selftest_suites(seeds: int):
@@ -447,8 +432,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_inputs(p):
         p.add_argument("inputs", nargs="*", help="graph files, edge list or graph6")
-        p.add_argument("-i", "--input", action="append", dest="extra_inputs",
-                       default=[], help="additional input file")
 
     p_rec = sub.add_parser("recognize", help="class membership with witnesses")
     p_rec.add_argument("--class", dest="klass", required=True)
@@ -491,13 +474,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if hasattr(args, "extra_inputs"):
-        args.inputs = list(args.inputs) + list(args.extra_inputs)
-        if not args.inputs and not getattr(args, "model", None):
-            parser.error("no input files given")
+    args = _PARSER.parse_args(argv)
+    if getattr(args, "inputs", None) == [] and not getattr(args, "model", None):
+        _PARSER.error("no input files given")
     handlers = {
         "recognize": _cmd_recognize,
         "solve": _cmd_solve,

@@ -12,8 +12,8 @@ Split, threshold, trivially perfect, cluster, complete split, co-chain,
 block and 2K2/P3-free graphs are accepted by a near-linear certificate
 (`_certified`); chordal, interval and unit interval graphs by a PEO and
 the hole, asteroidal-triple and claw searches.  The obstruction search runs
-only on rejection, and skips the patterns that a split partition or a PEO
-has already ruled out.
+only on rejection, and skips the patterns that a split partition, a PEO or
+a bipartition of the complement has already ruled out.
 """
 
 from __future__ import annotations
@@ -306,38 +306,25 @@ def nested_by_degree(g: Graph, vertices: Iterable[int]) -> list[int] | None:
 
 
 def enumerate_split_partitions(g: Graph) -> list[SplitPartition]:
-    """All split partitions, grown from the base one by single-vertex moves.
+    """All split partitions, sorted by clique side, listed from the base one.
 
-    Moves: an independent-side vertex adjacent to all of C joins C; a clique
-    vertex with no independent-side neighbors joins I.  The move closure is
-    explored to a fixed point and cross-checked against brute force in tests.
+    A clique and an independent set share at most one vertex (Hammer and
+    Simeone 1981), so a split partition moves at most one vertex a out of
+    the base clique C and at most one vertex b into it: b must see all of C
+    but a, and a must see nothing of the independent side I but b.
     """
     base = require_split(g)
-    seen = {base.clique}
-    queue = [base]
-    while queue:
-        part = queue.pop()
-        c_set = set(part.clique)
-        for v in part.independent:
-            if c_set <= g.adj[v]:
-                grown = vset(part.clique + (v,))
-                if grown not in seen:
-                    seen.add(grown)
-                    queue.append(
-                        SplitPartition(grown, vset(set(part.independent) - {v}))
-                    )
-        for u in part.clique:
-            if not (g.adj[u] & set(part.independent)):
-                shrunk = vset(c_set - {u})
-                if shrunk not in seen:
-                    seen.add(shrunk)
-                    queue.append(
-                        SplitPartition(shrunk, vset(part.independent + (u,)))
-                    )
-    all_v = set(g.vertices())
-    return [
-        SplitPartition(c, vset(all_v - set(c))) for c in sorted(seen)
+    c_set, i_set = set(base.clique), set(base.independent)
+    # a's neighbours in I and b's non-neighbours in C, kept where at most one
+    leaves = {a: g.adj[a] & i_set for a in c_set if g.degree(a) <= len(c_set)}
+    joins = {b: c_set - g.adj[b] for b in i_set if g.degree(b) >= len(c_set) - 1}
+    parts = [
+        SplitPartition(vset({*c_set, b} - {a, None}), vset({*i_set, a} - {b, None}))
+        for a in (None, *leaves)
+        for b in (None, *joins)
+        if leaves.get(a, set()) <= {b} and joins.get(b, set()) <= {a}
     ]
+    return sorted(parts, key=lambda part: part.clique)
 
 
 # ---------------------------------------------------------------------------
@@ -414,15 +401,27 @@ _OBSTRUCTIONS = {
 
 
 # Cheap positive tests and the names each one rules out when it succeeds: a
-# split graph has no 2K2, C4 or C5, and a chordal graph has no C4 or C5.
-_RULED_OUT = (("split", ("2k2", "c4", "c5")), ("peo", ("c4", "c5")))
+# split graph has no 2K2, C4 or C5; a chordal graph has no C4 or C5; a graph
+# whose complement is bipartite has no independent triple, and no C5, whose
+# complement is an odd cycle.
+_RULED_OUT = (
+    ("split", ("2k2", "c4", "c5")),
+    ("peo", ("c4", "c5")),
+    ("co-bipartite", ("i3", "c5")),
+)
 
 
-def _fact(g: Graph, test: str, known: dict) -> SplitPartition | tuple[int, ...] | None:
-    """The split partition ("split") or PEO ("peo") of g, or None when g has
-    none; computed at most once per `known`."""
+def _fact(g: Graph, test: str, known: dict):
+    """The split partition ("split"), PEO ("peo") or complement bipartition
+    ("co-bipartite") of g, or None when g has none; computed at most once
+    per `known`."""
     if test not in known:
-        known[test] = split_partition(g) if test == "split" else chordal_peo(g)
+        if test == "split":
+            known[test] = split_partition(g)
+        elif test == "peo":
+            known[test] = chordal_peo(g)
+        else:
+            known[test] = bipartition_classes(complement(g))
     return known[test]
 
 
@@ -490,7 +489,7 @@ def _certified(g: Graph, name: str, known: dict) -> bool | None:
         )
     if name == "co-chain":  # the complement is bipartite with nested neighbourhoods
         co = complement(g)
-        sides = bipartition_classes(co)
+        sides = known["co-bipartite"] = bipartition_classes(co)
         return sides is not None and nested_by_degree(co, sides[0]) is not None
     if name == "block":  # every biconnected component is a clique
         blocks = build_block_cut_tree(g).blocks
@@ -504,8 +503,8 @@ def recognize(g: Graph, label: ClassLabel, known: dict | None = None) -> Verdict
     A base class tries its `_certified` test first and searches its
     `_OBSTRUCTIONS` only when that rejects, so an obstruction must turn up,
     or when the class has no certificate.  `known` collects the split
-    partition and PEO computed on the way (see `_fact`), so a caller can
-    read them back instead of computing them again.
+    partition, PEO and complement bipartition computed on the way (see
+    `_fact`), so a caller can read them back instead of computing them again.
     """
     name = label.name
     if name == "kp":

@@ -1,8 +1,11 @@
 """Solvers driven by decomposition structure rather than matching.
 
-tree->cluster and block->cluster peel lowest leaves of a rooted (block-cut)
-tree; chordal->co-chain picks the best pair of maximal cliques; the chordal
-maximum independent set is the perfect-elimination greedy.
+tree->cluster and block->cluster peel the deepest leaf of a rooted forest,
+the forest itself or the block-cut tree of what is left, each rooted by the
+one breadth-first walk `_rooted`; chordal->co-chain picks the best pair of
+maximal cliques; the chordal maximum independent set is the
+perfect-elimination greedy.  `_verified` checks every deletion set with the
+recognizer, chordal->K2-free's too.
 """
 
 from __future__ import annotations
@@ -28,15 +31,32 @@ from .recognition import (
 )
 
 
-def _local_clique(g: Graph, comp: VertexSet) -> bool:
-    return all(g.has_edge(u, v) for i, u in enumerate(comp) for v in comp[i + 1 :])
-
-
 def _verified(g: Graph, deleted: VertexSet, label, method: str) -> DeletionResult:
     rest, _ = delete_vertices(g, deleted)
     if not recognize(rest, label).member:
         raise AssertionError(f"{method} produced an infeasible deletion set")
     return DeletionResult(deleted, label, method)
+
+
+def _rooted(roots, nbrs: dict) -> tuple[dict, dict, dict]:
+    """Breadth-first forest over `nbrs`, grown from each of `roots` not yet
+    reached, in order: the parent (None at a root), depth and child count of
+    every node reached."""
+    parent: dict = {}
+    depth: dict = {}
+    kids: dict = {}
+    for root in roots:
+        if root in parent:
+            continue
+        parent[root], depth[root], kids[root] = None, 0, 0
+        queue = [root]
+        for node in queue:  # the list grows while it is walked: a FIFO queue
+            for nxt in nbrs.get(node, ()):
+                if nxt not in parent:
+                    parent[nxt], depth[nxt], kids[nxt] = node, depth[node] + 1, 0
+                    kids[node] += 1
+                    queue.append(nxt)
+    return parent, depth, kids
 
 
 def delete_to_cluster_tree(g: Graph) -> DeletionResult:
@@ -50,44 +70,19 @@ def delete_to_cluster_tree(g: Graph) -> DeletionResult:
     if g.m != g.n - len(connected_components(g)):
         raise NotInClassError("forest")
     adj = {v: set(g.adj[v]) for v in g.vertices()}
-    alive = set(g.vertices())
     deleted: list[int] = []
     while True:
-        choice = None  # (depth, leaf, victim)
-        seen: set[int] = set()
-        for root in sorted(alive):
-            if root in seen:
-                continue
-            parent = {root: None}
-            depth = {root: 0}
-            kids = {root: 0}
-            queue = [root]
-            comp = []
-            while queue:
-                v = queue.pop(0)
-                comp.append(v)
-                for u in sorted(adj[v]):
-                    if u not in parent:
-                        parent[u] = v
-                        depth[u] = depth[v] + 1
-                        kids[v] = kids.get(v, 0) + 1
-                        kids.setdefault(u, 0)
-                        queue.append(u)
-            seen.update(comp)
-            if len(comp) <= 2:
-                continue
-            for v in comp:
-                if kids[v] == 0:
-                    key = (-depth[v], v)
-                    if choice is None or key < choice[0]:
-                        p = parent[v]
-                        victim = p if kids[p] > 1 else parent[p]
-                        choice = (key, victim)
-        if choice is None:
+        parent, depth, kids = _rooted(sorted(adj), adj)
+        leaves = [  # the leaves of components with three or more vertices
+            v
+            for v, p in parent.items()
+            if kids[v] == 0 and p is not None and (kids[p] > 1 or parent[p] is not None)
+        ]
+        if not leaves:
             break
-        victim = choice[1]
+        p = parent[min(leaves, key=lambda v: (-depth[v], v))]
+        victim = p if kids[p] > 1 else parent[p]
         deleted.append(victim)
-        alive.remove(victim)
         for u in adj.pop(victim):
             adj[u].discard(victim)
     return _verified(g, vset(deleted), CLUSTER, "tree-to-cluster")
@@ -101,79 +96,39 @@ def delete_to_cluster_block(g: Graph) -> DeletionResult:
     parent cut vertex v: if v has other child blocks, delete v; else if the
     grandparent block has a non-cut vertex, delete v; else delete the whole
     grandparent block except v.  Detached pieces are re-examined on the next
-    round and dropped once they are cliques.
+    round; a piece that is a clique is a single block, and has no leaf.
     """
     require(g, BLOCK)
-    alive = list(g.vertices())
+    alive = list(g.vertices())  # ascending, so vertex i of the rest is alive[i]
     deleted: list[int] = []
     while True:
-        cur, old2new = induced_subgraph(g, alive)
-        new2old = {ni: oi for oi, ni in old2new.items()}
-        comps = [c for c in connected_components(cur) if not _local_clique(cur, c)]
-        if not comps:
-            break
-        bct = build_block_cut_tree(cur)
-        in_comp = {}
-        for ci, comp in enumerate(comps):
-            for v in comp:
-                in_comp[v] = ci
+        bct = build_block_cut_tree(induced_subgraph(g, alive)[0])
+        # renumbering keeps the order, so blocks compare as their vertex tuples
+        blocks = bct.blocks
 
         # Rooted forest over block nodes ('b', i) and cut nodes ('c', v).
         nbrs: dict[tuple[str, int], list[tuple[str, int]]] = {}
         for bi, v in bct.edges:
             nbrs.setdefault(("b", bi), []).append(("c", v))
             nbrs.setdefault(("c", v), []).append(("b", bi))
-
-        def block_key(bi: int) -> tuple[int, ...]:
-            return tuple(new2old[v] for v in bct.blocks[bi])
-
-        parent: dict[tuple[str, int], tuple[str, int] | None] = {}
-        depth: dict[tuple[str, int], int] = {}
-        kids: dict[tuple[str, int], int] = {}
-        for ci in range(len(comps)):
-            candidates = [
-                bi
-                for bi, blk in enumerate(bct.blocks)
-                if blk and in_comp.get(blk[0]) == ci
-            ]
-            root = ("b", min(candidates, key=block_key))
-            parent[root] = None
-            depth[root] = 0
-            kids[root] = 0
-            queue = [root]
-            while queue:
-                node = queue.pop(0)
-                for nxt in sorted(nbrs.get(node, [])):
-                    if nxt not in parent:
-                        parent[nxt] = node
-                        depth[nxt] = depth[node] + 1
-                        kids[node] += 1
-                        kids.setdefault(nxt, 0)
-                        queue.append(nxt)
-
-        leaf = min(
-            (
-                node
-                for node in parent
-                if node[0] == "b" and kids[node] == 0 and parent[node] is not None
-            ),
-            key=lambda node: (-depth[node], block_key(node[1])),
-        )
-        vnode = parent[leaf]
-        v = vnode[1]
-        if kids[vnode] > 1:
-            doomed = {v}
+        roots = sorted(range(len(blocks)), key=blocks.__getitem__)
+        parent, depth, kids = _rooted([("b", bi) for bi in roots], nbrs)
+        leaves = [
+            node
+            for node in parent
+            if node[0] == "b" and kids[node] == 0 and parent[node] is not None
+        ]
+        if not leaves:
+            break
+        cut = parent[min(leaves, key=lambda node: (-depth[node], blocks[node[1]]))]
+        v = cut[1]
+        upper = blocks[parent[cut][1]]
+        if kids[cut] > 1 or not set(upper) <= set(bct.cut_vertices):
+            doomed = {alive[v]}
         else:
-            upper = parent[vnode][1]
-            upper_blk = bct.blocks[upper]
-            cutset = set(bct.cut_vertices)
-            if any(w not in cutset for w in upper_blk):
-                doomed = {v}
-            else:
-                doomed = set(upper_blk) - {v}
-        doomed_old = sorted(new2old[w] for w in doomed)
-        deleted.extend(doomed_old)
-        alive = [x for x in alive if x not in set(doomed_old)]
+            doomed = {alive[w] for w in upper if w != v}
+        deleted.extend(doomed)
+        alive = [x for x in alive if x not in doomed]
     return _verified(g, vset(deleted), CLUSTER, "block-to-cluster")
 
 

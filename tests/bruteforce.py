@@ -13,6 +13,8 @@ from chordel import (
     Graph,
     GraphInputError,
     SplitPartition,
+    build_block_cut_tree,
+    connected_components,
     induced_subgraph,
 )
 from chordel.recognition import (
@@ -407,3 +409,98 @@ def remove_clique_edges(g: Graph, part: SplitPartition) -> tuple:
     cl = part.clique
     stripped = remove_edges(g, [(u, v) for i, u in enumerate(cl) for v in cl[i + 1 :]])
     return stripped, Bipartition(part.clique, part.independent)
+
+
+def tree_cluster_deleted(g: Graph) -> tuple:
+    """Reference tree -> cluster peel: every round re-roots each component
+    at its least vertex by its own breadth-first search and deletes the
+    parent (or grandparent) of the deepest leaf, least vertex first."""
+    adj = {v: set(g.adj[v]) for v in g.vertices()}
+    alive = set(g.vertices())
+    deleted = []
+    while True:
+        choice = None  # (depth key, victim)
+        seen = set()
+        for root in sorted(alive):
+            if root in seen:
+                continue
+            parent, depth, kids = {root: None}, {root: 0}, {root: 0}
+            queue, comp = [root], []
+            while queue:
+                v = queue.pop(0)
+                comp.append(v)
+                for u in sorted(adj[v]):
+                    if u not in parent:
+                        parent[u], depth[u], kids[u] = v, depth[v] + 1, 0
+                        kids[v] += 1
+                        queue.append(u)
+            seen.update(comp)
+            if len(comp) <= 2:
+                continue
+            for v in comp:
+                if kids[v] == 0 and (choice is None or (-depth[v], v) < choice[0]):
+                    p = parent[v]
+                    choice = ((-depth[v], v), p if kids[p] > 1 else parent[p])
+        if choice is None:
+            return tuple(sorted(deleted))
+        victim = choice[1]
+        deleted.append(victim)
+        alive.remove(victim)
+        for u in adj.pop(victim):
+            adj[u].discard(victim)
+
+
+def block_cluster_deleted(g: Graph) -> tuple:
+    """Reference block -> cluster peel: every round rebuilds the block-cut
+    tree of what is left, roots each non-clique component at its least
+    block, and resolves the deepest leaf block by the three-case rule."""
+    alive = list(g.vertices())
+    deleted = []
+    while True:
+        cur, old2new = induced_subgraph(g, alive)
+        new2old = {ni: oi for oi, ni in old2new.items()}
+        comps = [
+            c for c in connected_components(cur)
+            if not all(cur.has_edge(u, v) for i, u in enumerate(c) for v in c[i + 1 :])
+        ]
+        if not comps:
+            return tuple(sorted(deleted))
+        bct = build_block_cut_tree(cur)
+        in_comp = {v: ci for ci, comp in enumerate(comps) for v in comp}
+        nbrs = {}
+        for bi, v in bct.edges:
+            nbrs.setdefault(("b", bi), []).append(("c", v))
+            nbrs.setdefault(("c", v), []).append(("b", bi))
+
+        def block_key(bi):
+            return tuple(new2old[v] for v in bct.blocks[bi])
+
+        parent, depth, kids = {}, {}, {}
+        for ci in range(len(comps)):
+            root = ("b", min(
+                (bi for bi, blk in enumerate(bct.blocks) if in_comp.get(blk[0]) == ci),
+                key=block_key,
+            ))
+            parent[root], depth[root], kids[root] = None, 0, 0
+            queue = [root]
+            while queue:
+                node = queue.pop(0)
+                for nxt in sorted(nbrs.get(node, [])):
+                    if nxt not in parent:
+                        parent[nxt], depth[nxt], kids[nxt] = node, depth[node] + 1, 0
+                        kids[node] += 1
+                        queue.append(nxt)
+        leaf = min(
+            (n for n in parent if n[0] == "b" and kids[n] == 0 and parent[n] is not None),
+            key=lambda n: (-depth[n], block_key(n[1])),
+        )
+        vnode = parent[leaf]
+        v = vnode[1]
+        upper_blk = bct.blocks[parent[vnode][1]]
+        if kids[vnode] > 1 or any(w not in bct.cut_vertices for w in upper_blk):
+            doomed = {v}
+        else:
+            doomed = set(upper_blk) - {v}
+        doomed_old = {new2old[w] for w in doomed}
+        deleted.extend(doomed_old)
+        alive = [x for x in alive if x not in doomed_old]

@@ -271,6 +271,75 @@ def test_failed_self_check_is_a_record_with_exit_3(files, capsys, monkeypatch):
     ]
 
 
+def test_chordal_to_k2_free_is_self_checked(files, capsys, monkeypatch):
+    from chordel import cli
+
+    monkeypatch.setattr(cli, "max_independent_set_chordal", lambda g: (0, 1))
+    code, recs = run_records(
+        capsys, ["solve", "--problem", "chordal-to-kp", "--p", "2", files["p3"]]
+    )
+    assert code == 3
+    assert recs == [
+        {
+            "command": "solve",
+            "error": "self-check failed: "
+            "chordal-to-k2-free produced an infeasible deletion set",
+        }
+    ]
+
+
+def test_parser_keeps_no_state_between_calls(files, capsys):
+    # the parser is built once per process; a flag must not outlive its call
+    argv = ["solve", "--problem", "split-to-cluster", files["dstar"]]
+    _, (first,) = run_records(capsys, argv)
+    _, (verified,) = run_records(capsys, argv + ["--verify"])
+    _, (after,) = run_records(capsys, argv)
+    assert verified["verified"] is True and "verified" not in after
+    for rec in (first, after):
+        del rec["elapsed_ms"]
+    assert after == first
+
+
+# Text-format stdout per argv, captured at a commit whose output is trusted:
+# text prints a record's keys in insertion order, so this pins that order
+TEXT_INPUTS = {"dstar.el": DSTAR, "c5.el": C5, "p3.el": P3}
+TEXT_STDOUT = {
+    "recognize --class split dstar.el":
+        "[recognize] input=dstar.el digest=8a8ea20658a3 n=5 m=4 class=split member=True"
+        " elapsed_ms=_ clique=['u1', 'u2'] independent=['v1', 'v2', 'v3']\n",
+    "recognize --class split c5.el":
+        "[recognize] input=c5.el digest=4a66125c2bb3 n=5 m=5 class=split member=False"
+        " elapsed_ms=_ witness=['0', '1', '2', '3', '4'] witness_name=c5\n",
+    "oracle --class cluster p3.el":
+        "[oracle] input=p3.el digest=de1c2550646a n=3 m=2 class=cluster elapsed_ms=_"
+        " k=1 deleted=['0']\n",
+    "oracle --class cluster --kmax 0 p3.el":
+        "[oracle] input=p3.el digest=de1c2550646a n=3 m=2 class=cluster elapsed_ms=_"
+        " exceeds_kmax=True kmax=0\n",
+    "reduce --from chain --to threshold --output image.el p3.el":
+        "[reduce] from=chain to=threshold input=p3.el output=image.el n=3 m=3"
+        " digest=7c0343f77a3c\n",
+    "generate --class threshold --n 6 --seed 3 --output gen.el":
+        "[generate] class=threshold n=6 m=5 seed=3 output=gen.el digest=f37e671181d7\n",
+}
+
+
+@pytest.mark.parametrize("argv", list(TEXT_STDOUT))
+def test_text_stdout_is_pinned(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for name, text in TEXT_INPUTS.items():
+        Path(name).write_text(text)
+    assert main(argv.split()) == 0
+    out = re.sub(r"elapsed_ms=[-0-9.e]+", "elapsed_ms=_", capsys.readouterr().out)
+    assert out == TEXT_STDOUT[argv]
+    if "--output" in argv:  # the file holds what stdout gets without --output
+        words = argv.split()
+        written = Path(words.pop(words.index("--output") + 1)).read_text()
+        words.remove("--output")
+        assert main(words) == 0
+        assert capsys.readouterr().out == written
+
+
 # ------------------------------------------------------ golden solve records
 
 # {case id: {"code", "stdout"}} for every case below, written by running

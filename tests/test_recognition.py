@@ -3,7 +3,7 @@ import functools
 import inspect
 import random
 import sys
-from itertools import combinations
+from itertools import chain, combinations
 
 import pytest
 
@@ -45,7 +45,7 @@ from chordel.recognition import (
     require_split,
 )
 from chordel import patterns as pat
-from chordel.randgen import gen_chordal, gen_split, gen_threshold, gen_tree
+from chordel.randgen import gen_bipartite, gen_chordal, gen_split, gen_threshold, gen_tree
 
 
 def random_graph(n, p, seed):
@@ -152,6 +152,21 @@ def test_require_helpers_run_each_test_once_on_rejection(
     assert counts == calls
 
 
+def test_co_bipartite_rejection_skips_the_independent_triple_search(monkeypatch):
+    g = complement(gen_bipartite(60, 0.5, 1)[0])
+    c4 = recognition._find_embedding(g, recognition._PATTERNS["c4"])
+    names = {id(f): name for name, f in recognition._PATTERNS.items()}
+    searched = []
+
+    def counted(h, f, _real=recognition._find_embedding):
+        searched.append(names[id(f)])
+        return _real(h, f)
+
+    monkeypatch.setattr(recognition, "_find_embedding", counted)
+    assert recognize(g, CO_CHAIN) == recognition.Verdict(False, c4, "c4")
+    assert searched == ["c4"]
+
+
 def test_split_partition_complete_graph():
     part = split_partition(pat.complete_graph(4))
     assert part == SplitPartition((0, 1, 2, 3), ())
@@ -190,11 +205,15 @@ def test_enumerate_split_partitions_double_star():
 
 
 def test_enumerate_split_partitions_is_exhaustive():
-    for seed in range(80):
-        g = gen_split(7, 0.5, seed)
-        want = bf.split_partitions(g)
-        got = {p.clique for p in enumerate_split_partitions(g)}
-        assert got == want
+    # every labelled split graph on at most 6 vertices, and seeded ones on 7
+    small = (g for n in range(7) for _, g in bf.labelled_graphs(n))
+    seeded = (gen_split(7, 0.5, seed) for seed in range(80))
+    for g in chain(small, seeded):
+        if split_partition(g) is None:
+            continue
+        parts = enumerate_split_partitions(g)
+        assert [p.clique for p in parts] == sorted(bf.split_partitions(g))
+        assert all(set(p.independent) == set(range(g.n)) - set(p.clique) for p in parts)
 
 
 def test_enumerate_split_partitions_rejects_nonsplit():

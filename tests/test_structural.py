@@ -136,6 +136,28 @@ def test_block_cluster_size_invariant_under_relabeling():
         assert delete_to_cluster_block(h).size == base
 
 
+@pytest.mark.parametrize(
+    "gen,solve,reference",
+    [
+        (gen_tree, delete_to_cluster_tree, bf.tree_cluster_deleted),
+        (gen_block, delete_to_cluster_block, bf.block_cluster_deleted),
+    ],
+    ids=["tree", "block"],
+)
+def test_peel_matches_reference(gen, solve, reference):
+    """The deleted set, tie-breaks included, equals the reference peel's on
+    every seeded instance with n < 60, and on relabelled forests of two."""
+    for seed in range(30):
+        for n in range(60):
+            g = gen(n, seed)
+            assert solve(g).deleted == reference(g), (n, seed)
+    for seed in range(10):
+        g = disjoint_union(gen(12, seed), gen(9, seed + 1))
+        perm = random.Random(seed).sample(range(g.n), g.n)
+        h = Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+        assert solve(h).deleted == reference(h), seed
+
+
 def test_maximal_cliques_examples():
     assert list_maximal_cliques_chordal(pat.path_graph(3)) == [(0, 1), (1, 2)]
     assert list_maximal_cliques_chordal(pat.complete_graph(4)) == [(0, 1, 2, 3)]
