@@ -83,6 +83,7 @@ from .structural import (
     delete_to_cluster_block,
     delete_to_cluster_tree,
     delete_to_cochain_chordal,
+    delete_to_k2free_chordal,
     list_maximal_cliques_chordal,
     max_independent_set_chordal,
 )

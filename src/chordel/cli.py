@@ -53,11 +53,10 @@ from .split_solvers import (
     delete_to_unit_interval_split,
 )
 from .structural import (
-    _verified,
     delete_to_cluster_block,
     delete_to_cluster_tree,
     delete_to_cochain_chordal,
-    max_independent_set_chordal,
+    delete_to_k2free_chordal,
 )
 from .graph import bipartition_classes
 
@@ -177,9 +176,7 @@ def _solve_one(args, instance) -> DeletionResult:
         if args.p is None:
             raise GraphInputError("chordal-to-kp needs --p")
         if args.p == 2:
-            keep = max_independent_set_chordal(instance)
-            deleted = vset(set(instance.vertices()) - set(keep))
-            return _verified(instance, deleted, kp_free(2), "chordal-to-k2-free")
+            return delete_to_k2free_chordal(instance)
         target, why = kp_free(args.p), f"no polynomial routine wired for p={args.p}"
     elif problem == "chordal-to-split":
         target, why = SPLIT, "chordal-to-split has no implemented polynomial routine"
@@ -235,6 +232,8 @@ def _verify_result(g: Graph, result: DeletionResult) -> bool:
 
 
 def _cmd_oracle(args, fmt: str) -> int:
+    if args.kmax is not None and args.kmax < 0:
+        raise GraphInputError(f"--kmax must be at least 0, got {args.kmax}")
     label = parse_class_label(args.klass)
     for path in args.inputs:
         g, labels = _load_graph(path)
@@ -311,9 +310,8 @@ def _cmd_generate(args, fmt: str) -> int:
     comments = (f"generated class={name} n={n} seed={seed}",)
     if name == "interval-model":
         model = randgen.gen_interval_model(n, seed)
-        sys.stdout.write(write_interval_model(model))
-        return EXIT_OK
-    if name == "split":
+        g, text = model_to_graph(model), write_interval_model(model)
+    elif name == "split":
         g = randgen.gen_split(n, args.edge_bias, seed)
     elif name == "threshold":
         g, creation = randgen.gen_threshold(n, seed)
@@ -332,7 +330,8 @@ def _cmd_generate(args, fmt: str) -> int:
         )
     else:
         raise GraphInputError(f"unknown generator class {name!r}")
-    text = write_edge_list(g, comments=comments)
+    if name != "interval-model":
+        text = write_edge_list(g, comments=comments)
     record = {"command": "generate", "class": name, "n": g.n, "m": g.m,
               "seed": seed, "output": args.output}
     return _write_output(args.output, text, record, g, fmt)
@@ -368,12 +367,14 @@ def _selftest_suites(seeds: int):
             "chordal": lambda s: randgen.gen_chordal(7, s),
             "interval": lambda s: randgen.gen_interval_model(7, s),
         }
+        runs = [(problem, None) for problem in (*_GRAPH_SOLVERS, *_MODEL_SOLVERS)]
+        runs.append(("chordal-to-kp", 2))
         for s in range(max(6, seeds // 4)):
             drawn = {source: make(s) for source, make in draw.items()}
-            for problem in (*_GRAPH_SOLVERS, *_MODEL_SOLVERS):
+            for problem, p in runs:
                 instance = drawn[problem.split("-to-")[0]]
                 g = model_to_graph(instance) if problem in _MODEL_SOLVERS else instance
-                got = _solve_one(argparse.Namespace(problem=problem, p=None), instance)
+                got = _solve_one(argparse.Namespace(problem=problem, p=p), instance)
                 yield got.size == oracle_min_deletion(g, got.target_class).size
 
     def bowtie_interval():

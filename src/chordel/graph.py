@@ -66,9 +66,6 @@ class Graph:
     def vertices(self) -> range:
         return range(self.n)
 
-    def neighbors(self, v: int) -> frozenset[int]:
-        return self.adj[v]
-
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 

@@ -113,15 +113,12 @@ def _threshold_partition(g: Graph, part: SplitPartition | None) -> SplitPartitio
     return known["split"] if part is None else part
 
 
-def threshold_interval_model(
-    g: Graph, part: SplitPartition | None = None, normalize: bool = True
-) -> IntervalModel:
+def threshold_interval_model(g: Graph, part: SplitPartition | None = None) -> IntervalModel:
     """Interval model of a threshold graph from its nested neighborhoods."""
     part = _threshold_partition(g, part)
-    raw = IntervalModel(
+    return IntervalModel(
         tuple((Fraction(l), Fraction(r)) for l, r in _raw_threshold_intervals(g, part))
-    )
-    return raw.normalized() if normalize else raw
+    ).normalized()
 
 
 def bowtie(g1: Graph, c1: VertexSet, g2: Graph, c2: VertexSet) -> Graph:

@@ -1,13 +1,20 @@
 """Polynomial deletion solvers whose input is a split graph.
 
 All of them are candidate-family algorithms: build a family of deletion sets
-that provably contains an optimum, verify each candidate is feasible by
-construction, and return the smallest (ties to the lexicographically least
-set).  The workhorse is a minimum vertex cover of the bipartite graph left
-after dropping the clique-side edges.
+that provably contains an optimum, return the smallest (ties to the
+lexicographically least set), and check it once with the recognizer.
+
+On a split partition (C, I) every candidate is F ∪ cover(C − F, I − S): the
+move (F, S) deletes the clique vertices F and keeps the independent vertices
+S (at most two) attached, and a minimum vertex cover removes the cross edges
+left between C − F and I − S.  The {2K2, P3}-free moves are (∅, ∅) and
+(C − N(v), {v}) for each v in I.  Unit interval adds (∅, {v}),
+(C ∩ N(v1) ∩ N(v2), {v1, v2}) and (C − N(v1) − N(v2), {v1, v2}).
 """
 
 from __future__ import annotations
+
+from itertools import combinations
 
 from .graph import (
     DeletionResult,
@@ -26,6 +33,7 @@ from .recognition import (
     enumerate_split_partitions,
     recognize,
     require_split,
+    split_partition,
 )
 
 
@@ -41,21 +49,24 @@ def _cross_cover(g: Graph, clique_side, indep_side) -> VertexSet:
     return cover_from_adjacency(lefts, adj)
 
 
-def _non_clique_candidates(g: Graph, cliq, indep) -> list[VertexSet]:
-    """Deletion sets that isolate all but one independent-side vertex.
-
-    One candidate covers every cross edge; one candidate per independent
-    vertex v keeps v attached by deleting the clique vertices missing from
-    N(v) and covering what remains.
-    """
-    cands = [_cross_cover(g, cliq, indep)]
-    for v in indep:
-        kept = [u for u in cliq if u in g.adj[v]]
-        removed = [u for u in cliq if u not in g.adj[v]]
-        rest = [w for w in indep if w != v]
-        cover = _cross_cover(g, kept, rest)
-        cands.append(vset(set(cover) | set(removed)))
-    return cands
+def _candidates(
+    g: Graph, cliq, indep, pairs: bool, forced: frozenset = frozenset()
+) -> list[VertexSet]:
+    """forced ∪ F ∪ cover(C − F, I − S) for each distinct move (F, S) on the
+    partition (cliq, indep): the {2K2, P3}-free moves, plus the unit interval
+    ones when `pairs` is set."""
+    cset, iset, none = frozenset(cliq), frozenset(indep), frozenset()
+    moves = [(none, none)] + [(cset - g.adj[v], frozenset({v})) for v in indep]
+    if pairs:
+        moves += [(none, frozenset({v})) for v in indep]
+        for v1, v2 in combinations(indep, 2):
+            both = frozenset({v1, v2})
+            moves.append((cset & g.adj[v1] & g.adj[v2], both))
+            moves.append((cset - g.adj[v1] - g.adj[v2], both))
+    return [
+        vset(forced | f | set(_cross_cover(g, cset - f, iset - s)))
+        for f, s in dict.fromkeys(moves)
+    ]
 
 
 def _best(cands: list[VertexSet]) -> VertexSet:
@@ -69,57 +80,31 @@ def _verified(g: Graph, deleted: VertexSet, label, method: str) -> DeletionResul
     return DeletionResult(deleted, label, method)
 
 
-def delete_to_2k2p3(g: Graph) -> DeletionResult:
-    """Minimum deletion set making a split graph {2K2, P3}-free.
+def _min_2k2p3(g: Graph, part) -> VertexSet:
+    """Minimum deletion set making g {2K2, P3}-free, from any split partition:
+    only the cross edges matter, and at most one independent vertex keeps
+    its neighbours."""
+    return _best(_candidates(g, part.clique, part.independent, pairs=False))
 
-    Any split partition works; deleted edges between the sides are what
-    matter, so every candidate is a cross-edge vertex cover, possibly after
-    committing to the one independent vertex allowed to keep its neighbors.
-    """
-    part = require_split(g)
-    if _is_degenerate(g):
-        return DeletionResult((), TWO_K2_P3_FREE, "split-to-2k2p3")
-    cands = _non_clique_candidates(g, part.clique, part.independent)
-    return _verified(g, _best(cands), TWO_K2_P3_FREE, "split-to-2k2p3")
+
+def delete_to_2k2p3(g: Graph) -> DeletionResult:
+    """Minimum deletion set making a split graph {2K2, P3}-free."""
+    return _verified(g, _min_2k2p3(g, require_split(g)), TWO_K2_P3_FREE, "split-to-2k2p3")
 
 
 def delete_to_cluster_split(g: Graph) -> DeletionResult:
     """Same deletion set as the {2K2, P3}-free solver: a split cluster graph
     is exactly a {2K2, P3}-free graph."""
-    inner = delete_to_2k2p3(g)
-    return _verified(g, inner.deleted, CLUSTER, "split-to-cluster")
+    return _verified(g, _min_2k2p3(g, require_split(g)), CLUSTER, "split-to-cluster")
 
 
 def delete_to_complete_split(g: Graph) -> DeletionResult:
     """Solve on the complement: complete split is the complement class of
     {2K2, P3}-free, and split graphs are self-complementary."""
     require_split(g)
-    inner = delete_to_2k2p3(complement(g))
-    return _verified(g, inner.deleted, COMPLETE_SPLIT, "split-to-complete-split")
-
-
-def _case1_candidates(g: Graph, cliq: VertexSet, indep: VertexSet) -> list[VertexSet]:
-    """Candidates when every kept independent vertex misses part of the clique.
-
-    Besides the {2K2, P3}-free family, either a single independent vertex v
-    stays attached (cover everything else), or exactly two stay; then the
-    clique vertices seeing both, or those seeing neither, must go.
-    """
-    cands = _non_clique_candidates(g, cliq, indep)
-    cset = set(cliq)
-    for v in indep:
-        rest = [w for w in indep if w != v]
-        cands.append(_cross_cover(g, cliq, rest))
-    for i, v1 in enumerate(indep):
-        for v2 in indep[i + 1 :]:
-            rest = [w for w in indep if w != v1 and w != v2]
-            common = vset(cset & g.adj[v1] & g.adj[v2])
-            cover = _cross_cover(g, cset - set(common), rest)
-            cands.append(vset(set(cover) | set(common)))
-            outside = vset(cset - set(g.adj[v1]) - set(g.adj[v2]))
-            cover = _cross_cover(g, cset - set(outside), rest)
-            cands.append(vset(set(cover) | set(outside)))
-    return cands
+    co = complement(g)
+    deleted = _min_2k2p3(co, split_partition(co))
+    return _verified(g, deleted, COMPLETE_SPLIT, "split-to-complete-split")
 
 
 def delete_to_unit_interval_split(g: Graph) -> DeletionResult:
@@ -131,16 +116,14 @@ def delete_to_unit_interval_split(g: Graph) -> DeletionResult:
     rerun case 1.  The algorithm is run once per split partition and the
     best candidate over all runs wins.
     """
-    if _is_degenerate(g):
+    if _is_degenerate(g):  # an edgeless graph has n + 1 split partitions
         return DeletionResult((), UNIT_INTERVAL, "split-to-unit-interval")
     cands: list[VertexSet] = []
     for part in enumerate_split_partitions(g):
         cliq, indep = part.clique, part.independent
-        cands.extend(_case1_candidates(g, cliq, indep))
+        cands += _candidates(g, cliq, indep, pairs=True)
         for v in indep:
-            removed = vset(set(cliq) - g.adj[v])
-            new_cliq = vset((set(cliq) & g.adj[v]) | {v})
-            new_indep = vset(w for w in indep if w != v)
-            for sub in _case1_candidates(g, new_cliq, new_indep):
-                cands.append(vset(set(sub) | set(removed)))
+            moved = (set(cliq) & g.adj[v]) | {v}
+            rest = [w for w in indep if w != v]
+            cands += _candidates(g, moved, rest, True, frozenset(cliq) - g.adj[v])
     return _verified(g, _best(cands), UNIT_INTERVAL, "split-to-unit-interval")

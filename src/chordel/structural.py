@@ -3,9 +3,9 @@
 tree->cluster and block->cluster peel the deepest leaf of a rooted forest,
 the forest itself or the block-cut tree of what is left, each rooted by the
 one breadth-first walk `_rooted`; chordal->co-chain picks the best pair of
-maximal cliques; the chordal maximum independent set is the
-perfect-elimination greedy.  `_verified` checks every deletion set with the
-recognizer, chordal->K2-free's too.
+maximal cliques; chordal->K2-free keeps the perfect-elimination greedy's
+maximum independent set.  `_verified` checks every deletion set with the
+recognizer.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .recognition import (
     CLUSTER,
     CO_CHAIN,
     NotInClassError,
+    kp_free,
     recognize,
     require,
     require_chordal,
@@ -171,3 +172,10 @@ def max_independent_set_chordal(g: Graph) -> VertexSet:
             taken.append(v)
             banned.update(g.adj[v])
     return vset(taken)
+
+
+def delete_to_k2free_chordal(g: Graph) -> DeletionResult:
+    """Minimum deletion set making a chordal graph edgeless: everything
+    outside a maximum independent set."""
+    deleted = vset(set(g.vertices()) - set(max_independent_set_chordal(g)))
+    return _verified(g, deleted, kp_free(2), "chordal-to-k2-free")

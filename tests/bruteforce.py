@@ -17,15 +17,19 @@ from chordel import (
     connected_components,
     induced_subgraph,
 )
+from chordel.graph import vset
 from chordel.recognition import (
     _PATTERNS,
     PatternTooLargeError,
     Verdict,
     _find_embedding,
+    enumerate_split_partitions,
     find_asteroidal_triple,
     find_hole,
     is_valid_split_partition,
+    split_partition,
 )
+from chordel.split_solvers import _cross_cover
 
 
 def induced(g: Graph, subset) -> Graph:
@@ -94,6 +98,14 @@ def labelled_graphs(n: int):
     pairs = list(combinations(range(n), 2))
     for mask in range(1 << len(pairs)):
         yield mask, Graph.from_edges(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
+
+
+def labelled_split_graphs(n_max: int):
+    """Every split graph on vertices 0..n-1, for each n up to n_max."""
+    for n in range(n_max + 1):
+        for _, g in labelled_graphs(n):
+            if split_partition(g) is not None:
+                yield g
 
 
 # Sorted induced degrees of each named obstruction on three to five vertices;
@@ -504,3 +516,65 @@ def block_cluster_deleted(g: Graph) -> tuple:
         doomed_old = {new2old[w] for w in doomed}
         deleted.extend(doomed_old)
         alive = [x for x in alive if x not in doomed_old]
+
+
+# Reference candidate families for the split solvers: the three builders
+# that listed each family case by case, kept as they were.  They share
+# `_cross_cover` with the library, so they check the family, not the cover.
+
+
+def non_clique_candidates(g: Graph, cliq, indep) -> list:
+    """Deletion sets that isolate all but one independent-side vertex.
+
+    One candidate covers every cross edge; one candidate per independent
+    vertex v keeps v attached by deleting the clique vertices missing from
+    N(v) and covering what remains.
+    """
+    cands = [_cross_cover(g, cliq, indep)]
+    for v in indep:
+        kept = [u for u in cliq if u in g.adj[v]]
+        removed = [u for u in cliq if u not in g.adj[v]]
+        rest = [w for w in indep if w != v]
+        cover = _cross_cover(g, kept, rest)
+        cands.append(vset(set(cover) | set(removed)))
+    return cands
+
+
+def case1_candidates(g: Graph, cliq, indep) -> list:
+    """Candidates when every kept independent vertex misses part of the clique.
+
+    Besides the {2K2, P3}-free family, either a single independent vertex v
+    stays attached (cover everything else), or exactly two stay; then the
+    clique vertices seeing both, or those seeing neither, must go.
+    """
+    cands = non_clique_candidates(g, cliq, indep)
+    cset = set(cliq)
+    for v in indep:
+        rest = [w for w in indep if w != v]
+        cands.append(_cross_cover(g, cliq, rest))
+    for i, v1 in enumerate(indep):
+        for v2 in indep[i + 1 :]:
+            rest = [w for w in indep if w != v1 and w != v2]
+            common = vset(cset & g.adj[v1] & g.adj[v2])
+            cover = _cross_cover(g, cset - set(common), rest)
+            cands.append(vset(set(cover) | set(common)))
+            outside = vset(cset - set(g.adj[v1]) - set(g.adj[v2]))
+            cover = _cross_cover(g, cset - set(outside), rest)
+            cands.append(vset(set(cover) | set(outside)))
+    return cands
+
+
+def unit_interval_candidates(g: Graph) -> list:
+    """Case 1 on every split partition, and case 2: for each independent v,
+    delete C minus N(v), move v to the clique side and rerun case 1."""
+    cands = []
+    for part in enumerate_split_partitions(g):
+        cliq, indep = part.clique, part.independent
+        cands.extend(case1_candidates(g, cliq, indep))
+        for v in indep:
+            removed = vset(set(cliq) - g.adj[v])
+            new_cliq = vset((set(cliq) & g.adj[v]) | {v})
+            new_indep = vset(w for w in indep if w != v)
+            for sub in case1_candidates(g, new_cliq, new_indep):
+                cands.append(vset(set(sub) | set(removed)))
+    return cands

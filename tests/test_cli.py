@@ -85,6 +85,12 @@ def test_oracle_kmax_report(files, capsys):
     assert recs[0]["exceeds_kmax"] is True
 
 
+def test_oracle_negative_kmax_exits_2(files, capsys):
+    assert main(["oracle", "--class", "cluster", "--kmax", "-3", files["p3"]]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: ")
+
+
 def test_oracle_ffree_label(files, capsys):
     code, recs = run_records(
         capsys,
@@ -272,9 +278,9 @@ def test_failed_self_check_is_a_record_with_exit_3(files, capsys, monkeypatch):
 
 
 def test_chordal_to_k2_free_is_self_checked(files, capsys, monkeypatch):
-    from chordel import cli
+    from chordel import structural
 
-    monkeypatch.setattr(cli, "max_independent_set_chordal", lambda g: (0, 1))
+    monkeypatch.setattr(structural, "max_independent_set_chordal", lambda g: (0, 1))
     code, recs = run_records(
         capsys, ["solve", "--problem", "chordal-to-kp", "--p", "2", files["p3"]]
     )
@@ -321,6 +327,9 @@ TEXT_STDOUT = {
         " digest=7c0343f77a3c\n",
     "generate --class threshold --n 6 --seed 3 --output gen.el":
         "[generate] class=threshold n=6 m=5 seed=3 output=gen.el digest=f37e671181d7\n",
+    "generate --class interval-model --n 3 --seed 1 --output m.iv":  # a triangle
+        "[generate] class=interval-model n=3 m=3 seed=1 output=m.iv"
+        " digest=7c0343f77a3c\n",
 }
 
 

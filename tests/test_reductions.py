@@ -27,6 +27,7 @@ from chordel import (
     threshold_interval_model,
 )
 from chordel import patterns as pat
+from chordel.reductions import _raw_threshold_intervals
 from chordel.randgen import gen_bipartite, gen_split, gen_threshold
 
 
@@ -53,9 +54,9 @@ def test_raw_model_single_edge():
 
     creation = ThresholdCreation(("isolated", "dominating"))
     g = creation.graph()
-    m = threshold_interval_model(g, SplitPartition((1,), (0,)), normalize=False)
-    assert m.intervals[0] == (2, 3)  # [1, 1.5] doubled
-    assert m.intervals[1] == (2, 6)  # [1, 3] doubled
+    raw = _raw_threshold_intervals(g, SplitPartition((1,), (0,)))
+    assert raw[0] == (2, 3)  # [1, 1.5] doubled
+    assert raw[1] == (2, 6)  # [1, 3] doubled
 
 
 def test_raw_model_isolated_clique_vertex():
@@ -63,11 +64,11 @@ def test_raw_model_isolated_clique_vertex():
     # [|I|+1, |I|+2]
     g = Graph.from_edges(3, [(0, 1)])  # clique {0,1}? no: edge + isolated
     part = split_partition(g)
-    m = threshold_interval_model(g, part, normalize=False)
+    raw = _raw_threshold_intervals(g, part)
     k = len(part.independent)
     for u in part.clique:
         if not g.adj[u]:
-            assert m.intervals[u] == (2 * (k + 1), 2 * (k + 2))
+            assert raw[u] == (2 * (k + 1), 2 * (k + 2))
 
 
 def test_threshold_model_roundtrip_many():

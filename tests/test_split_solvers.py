@@ -1,3 +1,5 @@
+from itertools import chain
+
 import pytest
 
 import bruteforce as bf
@@ -19,7 +21,9 @@ from chordel import (
     recognize,
 )
 from chordel import patterns as pat
+from chordel import split_solvers
 from chordel.randgen import gen_split
+from chordel.recognition import split_partition
 
 
 ALL_SPLIT_SOLVERS = [
@@ -125,3 +129,30 @@ def test_unit_interval_components_keep_small_independent_side():
             indep_new = {old2new[v] for v in part.independent if v in old2new}
             for comp in connected_components(rest):
                 assert len(indep_new & set(comp)) <= 3
+
+
+def test_candidate_families_match_reference(monkeypatch):
+    # the one move rule lists the same distinct candidates as the case-by-case
+    # builders, on every labelled split graph up to 6 vertices and a seeded
+    # corpus; `_best` receives each solver's whole family
+    handed = []
+    best = split_solvers._best
+
+    def recording(cands):
+        handed.append(cands)
+        return best(cands)
+
+    monkeypatch.setattr(split_solvers, "_best", recording)
+    seeded = (
+        gen_split(n, bias, seed)
+        for n in (8, 12, 16) for bias in (0.2, 0.5, 0.8) for seed in range(30)
+    )
+    for g in chain(bf.labelled_split_graphs(6), seeded):
+        part = split_partition(g)
+        delete_to_2k2p3(g)
+        want = bf.non_clique_candidates(g, part.clique, part.independent)
+        assert set(handed.pop()) == set(want)
+        if not split_solvers._is_degenerate(g):
+            delete_to_unit_interval_split(g)
+            assert set(handed.pop()) == set(bf.unit_interval_candidates(g))
+        assert handed == []
