@@ -405,6 +405,8 @@ def _selftest_suites(seeds: int):
 
 
 def _cmd_selftest(args, fmt: str) -> int:
+    if args.seeds < 1:
+        raise GraphInputError(f"--seeds must be at least 1, got {args.seeds}")
     failures = 0
     for name, suite in _selftest_suites(args.seeds):
         t0 = time.perf_counter()

@@ -25,7 +25,11 @@ def _data_lines(text: str) -> list[str]:
 
 def parse_edge_list(text: str) -> tuple[Graph, list[str]]:
     """Parse edge-list text into a graph plus per-id labels."""
-    lines = _data_lines(text)
+    return _parse_edge_lines(_data_lines(text))
+
+
+def _parse_edge_lines(lines: list[str]) -> tuple[Graph, list[str]]:
+    """`parse_edge_list` on text already split into data lines."""
     if not lines:
         raise GraphInputError("empty edge-list input")
     head = lines[0].split()
@@ -170,7 +174,7 @@ def sniff_and_parse(text: str) -> tuple[Graph, list[str]]:
         raise GraphInputError("empty graph input")
     head = lines[0].split()
     if len(head) == 2 and all(t.lstrip("-").isdigit() for t in head):
-        return parse_edge_list(text)
+        return _parse_edge_lines(lines)
     if len(lines) > 1:
         raise GraphInputError(f"graph6 input holds {len(lines)} graphs; give one per file")
     g = from_graph6(lines[0])

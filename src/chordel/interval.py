@@ -1,10 +1,12 @@
 """Interval models and the sweep solvers that run on them.
 
-Endpoints are exact rationals, never floats.  The solvers only compare
-endpoints, so they first rank all 2n of them onto the integers 1..2n, with
-ties resolved so that the intersection graph is unchanged (left endpoints
-come before right endpoints at equal coordinates), and sweep over those int
-ranks.  The ranked model is in general position: all 2n endpoints distinct.
+Endpoints are exact, never floats: each is an int, or a Fraction when it is
+not integral.  `IntervalModel` is the only converter; callers hand it ints,
+Fractions or anything `Fraction` accepts.  The solvers only compare
+endpoints, so they first rank all 2n of them onto the ints 1..2n, with ties
+resolved so that the intersection graph is unchanged (left endpoints come
+before right endpoints at equal coordinates), and sweep over those ranks.
+The ranked model is in general position: all 2n endpoints distinct.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .recognition import CLUSTER, COMPLETE_SPLIT, recognize
 class IntervalModel:
     """Closed interval [l(v), r(v)] per vertex v = 0..n-1."""
 
-    intervals: tuple[tuple[Fraction, Fraction], ...]
+    intervals: tuple[tuple[int | Fraction, int | Fraction], ...]
 
     def __post_init__(self) -> None:
         norm = []
@@ -29,17 +31,17 @@ class IntervalModel:
             lf, rf = Fraction(l), Fraction(r)
             if lf > rf:
                 raise GraphInputError(f"interval {i} has l > r")
-            norm.append((lf, rf))
+            norm.append(tuple(x.numerator if x.denominator == 1 else x for x in (lf, rf)))
         object.__setattr__(self, "intervals", tuple(norm))
 
     @property
     def n(self) -> int:
         return len(self.intervals)
 
-    def left(self, v: int) -> Fraction:
+    def left(self, v: int) -> int | Fraction:
         return self.intervals[v][0]
 
-    def right(self, v: int) -> Fraction:
+    def right(self, v: int) -> int | Fraction:
         return self.intervals[v][1]
 
     def is_general_position(self) -> bool:
@@ -53,15 +55,15 @@ class IntervalModel:
         so touching intervals keep touching; ties within a kind break by
         vertex id.
         """
-        spots: dict[tuple[int, int], Fraction] = {}
+        spots: dict[tuple[int, int], int] = {}
         for pos, (_, kind, v) in enumerate(_events(self), start=1):
-            spots[(kind, v)] = Fraction(pos)
+            spots[(kind, v)] = pos
         return IntervalModel(
             tuple((spots[(0, v)], spots[(1, v)]) for v in range(self.n))
         )
 
 
-def _events(m: IntervalModel) -> list[tuple[Fraction, int, int]]:
+def _events(m: IntervalModel) -> list[tuple[int | Fraction, int, int]]:
     """(coordinate, 0 for left or 1 for right, vertex), in sweep order."""
     return sorted(
         (x, kind, v) for v, ends in enumerate(m.intervals) for kind, x in enumerate(ends)
@@ -113,7 +115,7 @@ def write_interval_model(m: IntervalModel, labels: list[str] | None = None) -> s
 def _prepared(m: IntervalModel) -> tuple[IntervalModel, list[int], list[int]]:
     """The model re-spaced onto ranks 1..2n, and its left and right ranks."""
     m = m.normalized()
-    return m, [int(l) for l, _ in m.intervals], [int(r) for _, r in m.intervals]
+    return m, [l for l, _ in m.intervals], [r for _, r in m.intervals]
 
 
 def max_clique_window(m: IntervalModel, lo, hi) -> VertexSet:
@@ -122,7 +124,6 @@ def max_clique_window(m: IntervalModel, lo, hi) -> VertexSet:
     Left-to-right sweep counting simultaneous overlap; the first sweep
     position attaining the maximum supplies the clique.
     """
-    lo, hi = Fraction(lo), Fraction(hi)
     members = [v for v in range(m.n) if lo <= m.left(v) and m.right(v) <= hi]
     events = []
     for v in members:

@@ -9,7 +9,6 @@ Identical seeds give identical instances.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 from .graph import Graph
 from .interval import IntervalModel
@@ -45,7 +44,7 @@ def gen_interval_model(n: int, seed: int = 0) -> IntervalModel:
     ivs = []
     for i in range(n):
         a, b = points[2 * i], points[2 * i + 1]
-        ivs.append((Fraction(min(a, b)), Fraction(max(a, b))))
+        ivs.append((min(a, b), max(a, b)))
     return IntervalModel(tuple(ivs))
 
 

@@ -11,7 +11,6 @@ pattern-copy gadget reducing vertex cover to pattern-free deletion.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .graph import (
     Graph,
@@ -116,9 +115,7 @@ def _threshold_partition(g: Graph, part: SplitPartition | None) -> SplitPartitio
 def threshold_interval_model(g: Graph, part: SplitPartition | None = None) -> IntervalModel:
     """Interval model of a threshold graph from its nested neighborhoods."""
     part = _threshold_partition(g, part)
-    return IntervalModel(
-        tuple((Fraction(l), Fraction(r)) for l, r in _raw_threshold_intervals(g, part))
-    ).normalized()
+    return IntervalModel(tuple(_raw_threshold_intervals(g, part))).normalized()
 
 
 def bowtie(g1: Graph, c1: VertexSet, g2: Graph, c2: VertexSet) -> Graph:
@@ -158,9 +155,7 @@ def bowtie_model(
     raw2 = _raw_threshold_intervals(g2, p2)
     big = 2 * (len(p1.independent) + len(p2.independent) + 3)
     mirrored = [(big - r, big - l) for l, r in raw2]
-    return IntervalModel(
-        tuple((Fraction(l), Fraction(r)) for l, r in raw1 + mirrored)
-    ).normalized()
+    return IntervalModel(tuple(raw1 + mirrored)).normalized()
 
 
 def reduce_chain_to_threshold(b: Graph, part: Bipartition) -> Graph:
@@ -208,7 +203,7 @@ def reduce_vc_to_ffree(
     if anchor_edge is None:
         anchor_edge = f.edges()[0]
     a, b = anchor_edge
-    if not f.has_edge(a, b):
+    if a not in range(f.n) or b not in range(f.n) or not f.has_edge(a, b):
         raise GraphInputError(f"anchor ({a}, {b}) is not an edge of the pattern")
 
     rest = [w for w in f.vertices() if w not in (a, b)]

@@ -24,7 +24,6 @@ from .recognition import (
     BLOCK,
     CLUSTER,
     CO_CHAIN,
-    NotInClassError,
     kp_free,
     recognize,
     require,
@@ -68,8 +67,9 @@ def delete_to_cluster_tree(g: Graph) -> DeletionResult:
     deleted, otherwise the grandparent is; components that are already
     cliques (at most two vertices) are left alone.
     """
-    if g.m != g.n - len(connected_components(g)):
-        raise NotInClassError("forest")
+    if g.m != g.n - len(connected_components(g)):  # a cycle: a hole, or else a triangle
+        require_chordal(g)
+        require(g, kp_free(3))
     adj = {v: set(g.adj[v]) for v in g.vertices()}
     deleted: list[int] = []
     while True:
@@ -150,15 +150,13 @@ def list_maximal_cliques_chordal(g: Graph) -> list[VertexSet]:
 
 def delete_to_cochain_chordal(g: Graph) -> DeletionResult:
     """Keep the best union of two maximal cliques (possibly the same one)."""
-    if g.n == 0:
-        return DeletionResult((), CO_CHAIN, "chordal-to-co-chain")
     cliques = list_maximal_cliques_chordal(g)
     everything = set(g.vertices())
-    best: VertexSet | None = None
+    best = vset(everything)  # any clique pair beats deleting everything when n > 0
     for i in range(len(cliques)):
         for j in range(i, len(cliques)):
             gone = vset(everything - set(cliques[i]) - set(cliques[j]))
-            if best is None or (len(gone), gone) < (len(best), best):
+            if (len(gone), gone) < (len(best), best):
                 best = gone
     return _verified(g, best, CO_CHAIN, "chordal-to-co-chain")
 

@@ -153,6 +153,18 @@ def test_reduce_vc_to_ffree_roundtrip(files, capsys, tmp_path):
     assert "reduction vc -> f-free" in out.read_text()
 
 
+@pytest.mark.parametrize("anchor", ["9,0", "-1,0"])
+def test_reduce_vc_anchor_outside_the_pattern_exits_2(anchor, tmp_path, capsys):
+    diamond = tmp_path / "diamond.el"
+    diamond.write_text("4 5\n0 1\n0 2\n0 3\n1 2\n2 3\n")
+    k2 = tmp_path / "k2.el"
+    k2.write_text("2 1\n0 1\n")
+    argv = ["reduce", "--from", "vc", "--to", "f-free", "--pattern", str(diamond)]
+    assert main(argv + [f"--anchor={anchor}", str(k2)]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: anchor")
+
+
 def test_reduce_chain_to_threshold(capsys, tmp_path):
     b = tmp_path / "b.el"
     b.write_text("4 2\n0 1\n2 3\n")
@@ -192,6 +204,26 @@ def test_selftest_small(capsys):
     assert main(["selftest", "--seeds", "4"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out.replace("PASS", "")
+
+
+@pytest.mark.parametrize("seeds", ["0", "-1"])
+def test_selftest_needs_a_seed(seeds, capsys):
+    assert main(["selftest", "--seeds", seeds]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: --seeds must be at least 1")
+
+
+@pytest.mark.parametrize("text, name, witness", [
+    ("4 4\na b\nb c\nc d\nd a\n", "hole", ["a", "b", "c", "d"]),
+    ("4 4\nx y\ny z\nx z\nz w\n", "k3", ["x", "y", "z"]),
+])
+def test_tree_to_cluster_names_the_cycle(text, name, witness, tmp_path, capsys):
+    path = tmp_path / "cyclic.el"
+    path.write_text(text)
+    code, recs = run_records(capsys, ["solve", "--problem", "tree-to-cluster", str(path)])
+    assert code == 1
+    (rec,) = recs
+    assert rec["witness_name"] == name and sorted(rec["witness"]) == witness
 
 
 def test_multi_graph_graph6_file_rejected(tmp_path, capsys):

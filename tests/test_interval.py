@@ -20,7 +20,7 @@ from chordel import (
     write_interval_model,
 )
 from chordel.randgen import gen_interval_model, gen_threshold
-from chordel.reductions import threshold_interval_model
+from chordel.reductions import bowtie_model, threshold_interval_model
 
 
 def model(*pairs):
@@ -69,6 +69,25 @@ def test_model_file_roundtrip():
         parse_interval_model("a 1\n")
     with pytest.raises(GraphInputError):
         parse_interval_model("a 1 2\na 3 4\n")
+
+
+def test_endpoints_are_ints_unless_fractional():
+    def types(m):
+        return [type(x) for iv in m.intervals for x in iv]
+
+    parsed, _ = parse_interval_model("a 3/2 4/2\nb -6/3 2\n")
+    assert parsed.intervals == ((F(3, 2), 2), (-2, 2))
+    assert types(parsed) == [F, int, int, int]
+    assert write_interval_model(parsed) == "0 3/2 2\n1 -2 2\n"
+    g1, _ = gen_threshold(6, 1)
+    g2, _ = gen_threshold(5, 2)
+    for m in (
+        gen_interval_model(6, 1),
+        parsed.normalized(),
+        threshold_interval_model(g1),
+        bowtie_model(g1, g2),
+    ):
+        assert set(types(m)) == {int}
 
 
 def test_max_clique_window():

@@ -220,3 +220,8 @@ def test_mis_matches_bruteforce():
         got = max_independent_set_chordal(g)
         assert is_independent(g, got)
         assert len(got) == bf.max_independent_set(g)
+
+
+@pytest.mark.parametrize("n, deleted", [(0, ()), (1, ()), (3, (0,))])
+def test_cochain_edgeless(n, deleted):
+    assert delete_to_cochain_chordal(pat.empty_graph(n)).deleted == deleted
