@@ -291,8 +291,12 @@ def _cmd_reduce(args, fmt: str) -> int:
         pat, _ = _load_graph(args.pattern)
         anchor = None
         if args.anchor:
-            a, b = args.anchor.split(",")
-            anchor = (int(a), int(b))
+            try:
+                a, b = map(int, args.anchor.split(","))
+            except ValueError:
+                msg = f"--anchor must be two vertex ids 'a,b', got {args.anchor!r}"
+                raise GraphInputError(msg) from None
+            anchor = (a, b)
         out = reduce_vc_to_ffree(g, pat, anchor)
         out_labels = labels + [f"_g{i}" for i in range(g.n, out.n)]
         comments.append(f"pattern {args.pattern} anchor {anchor or pat.edges()[0]}")
@@ -307,6 +311,8 @@ def _cmd_reduce(args, fmt: str) -> int:
 
 def _cmd_generate(args, fmt: str) -> int:
     name, n, seed = args.klass, args.n, args.seed
+    if n < 0:
+        raise GraphInputError(f"--n must be at least 0, got {n}")
     comments = (f"generated class={name} n={n} seed={seed}",)
     if name == "interval-model":
         model = randgen.gen_interval_model(n, seed)

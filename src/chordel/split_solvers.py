@@ -10,6 +10,13 @@ S (at most two) attached, and a minimum vertex cover removes the cross edges
 left between C − F and I − S.  The {2K2, P3}-free moves are (∅, ∅) and
 (C − N(v), {v}) for each v in I.  Unit interval adds (∅, {v}),
 (C ∩ N(v1) ∩ N(v2), {v1, v2}) and (C − N(v1) − N(v2), {v1, v2}).
+
+Each solve is a branch and bound over that family.  A move's size is bounded
+below by |forced| + |F| plus a greedy maximal matching of the cross edges
+left (by König's theorem a cover is at least any matching), and the move is
+skipped only when that bound is strictly above the smallest candidate so far:
+a move that could tie is still computed, so the lexicographic tie-break sees
+every set of the minimum size.
 """
 
 from __future__ import annotations
@@ -43,19 +50,14 @@ def _is_degenerate(g: Graph) -> bool:
 
 def _cross_cover(g: Graph, clique_side, indep_side) -> VertexSet:
     """Min vertex cover of the clique-to-independent cross edges, original ids."""
-    indep = set(indep_side)
+    indep = frozenset(indep_side)
     lefts = sorted(clique_side)
-    adj = {u: sorted(v for v in g.adj[u] if v in indep) for u in lefts}
-    return cover_from_adjacency(lefts, adj)
+    return cover_from_adjacency(lefts, {u: sorted(g.adj[u] & indep) for u in lefts})
 
 
-def _candidates(
-    g: Graph, cliq, indep, pairs: bool, forced: frozenset = frozenset()
-) -> list[VertexSet]:
-    """forced ∪ F ∪ cover(C − F, I − S) for each distinct move (F, S) on the
-    partition (cliq, indep): the {2K2, P3}-free moves, plus the unit interval
-    ones when `pairs` is set."""
-    cset, iset, none = frozenset(cliq), frozenset(indep), frozenset()
+def _moves(g: Graph, cliq, indep, pairs: bool) -> list[tuple[frozenset, frozenset]]:
+    """The distinct moves (F, S) on (cliq, indep), unit interval's if `pairs`."""
+    cset, none = frozenset(cliq), frozenset()
     moves = [(none, none)] + [(cset - g.adj[v], frozenset({v})) for v in indep]
     if pairs:
         moves += [(none, frozenset({v})) for v in indep]
@@ -63,10 +65,30 @@ def _candidates(
             both = frozenset({v1, v2})
             moves.append((cset & g.adj[v1] & g.adj[v2], both))
             moves.append((cset - g.adj[v1] - g.adj[v2], both))
-    return [
-        vset(forced | f | set(_cross_cover(g, cset - f, iset - s)))
-        for f, s in dict.fromkeys(moves)
-    ]
+    return list(dict.fromkeys(moves))
+
+
+def _candidates(g: Graph, cliq, indep, pairs: bool, found: list, forced=frozenset()) -> list:
+    """Append forced ∪ F ∪ cover(C − F, I − S) to `found`, and return it, for
+    each move (F, S) whose lower bound is not above the best set so far."""
+    cset, iset = frozenset(cliq), frozenset(indep)
+    bits = {u: sum(map((1).__lshift__, g.adj[u] & iset)) for u in cset}
+    every = sum(map((1).__lshift__, iset))
+    best = min(map(len, found), default=g.n)
+    for f, s in _moves(g, cliq, indep, pairs):
+        bound, lefts = len(forced) + len(f), cset - f
+        free = every - sum(map((1).__lshift__, s))
+        for u in lefts:  # a greedy maximal matching of the cross edges left
+            if bound > best:
+                break
+            hit = bits[u] & free
+            if hit:
+                free ^= hit & -hit
+                bound += 1
+        if bound <= best:
+            found.append(vset(forced | f | set(_cross_cover(g, lefts, iset - s))))
+            best = min(best, len(found[-1]))
+    return found
 
 
 def _best(cands: list[VertexSet]) -> VertexSet:
@@ -84,7 +106,7 @@ def _min_2k2p3(g: Graph, part) -> VertexSet:
     """Minimum deletion set making g {2K2, P3}-free, from any split partition:
     only the cross edges matter, and at most one independent vertex keeps
     its neighbours."""
-    return _best(_candidates(g, part.clique, part.independent, pairs=False))
+    return _best(_candidates(g, part.clique, part.independent, False, []))
 
 
 def delete_to_2k2p3(g: Graph) -> DeletionResult:
@@ -118,12 +140,12 @@ def delete_to_unit_interval_split(g: Graph) -> DeletionResult:
     """
     if _is_degenerate(g):  # an edgeless graph has n + 1 split partitions
         return DeletionResult((), UNIT_INTERVAL, "split-to-unit-interval")
-    cands: list[VertexSet] = []
+    found: list[VertexSet] = []
     for part in enumerate_split_partitions(g):
         cliq, indep = part.clique, part.independent
-        cands += _candidates(g, cliq, indep, pairs=True)
+        _candidates(g, cliq, indep, True, found)
         for v in indep:
             moved = (set(cliq) & g.adj[v]) | {v}
             rest = [w for w in indep if w != v]
-            cands += _candidates(g, moved, rest, True, frozenset(cliq) - g.adj[v])
-    return _verified(g, _best(cands), UNIT_INTERVAL, "split-to-unit-interval")
+            _candidates(g, moved, rest, True, found, frozenset(cliq) - g.adj[v])
+    return _verified(g, _best(found), UNIT_INTERVAL, "split-to-unit-interval")

@@ -134,15 +134,15 @@ def delete_to_cluster_block(g: Graph) -> DeletionResult:
 
 
 def list_maximal_cliques_chordal(g: Graph) -> list[VertexSet]:
-    """All maximal cliques via the elimination ordering; at most n of them."""
+    """All maximal cliques via the elimination ordering; at most n of them.
+    C(v) = {v} ∪ later(v) is not maximal exactly when some u has v as its first
+    later neighbour and |later(u)| = |later(v)| + 1 (Blair-Peyton 1993)."""
     order = require_chordal(g)
     pos = {v: i for i, v in enumerate(order)}
-    cands = sorted(
-        {vset({v} | {u for u in g.adj[v] if pos[u] > pos[v]}) for v in order}
-    )
-    maximal = [
-        c for c in cands if not any(c != d and set(c) < set(d) for d in cands)
-    ]
+    later = {v: [u for u in g.adj[v] if pos[u] > pos[v]] for v in order}
+    first = {u: min(later[u], key=pos.__getitem__) for u in order if later[u]}
+    absorbed = {v for u, v in first.items() if len(later[u]) == len(later[v]) + 1}
+    maximal = sorted(vset([v, *later[v]]) for v in order if v not in absorbed)
     if len(maximal) > max(g.n, 1):
         raise AssertionError("chordal graph with more than n maximal cliques")
     return maximal
@@ -151,13 +151,15 @@ def list_maximal_cliques_chordal(g: Graph) -> list[VertexSet]:
 def delete_to_cochain_chordal(g: Graph) -> DeletionResult:
     """Keep the best union of two maximal cliques (possibly the same one)."""
     cliques = list_maximal_cliques_chordal(g)
+    masks = [sum(map((1).__lshift__, c)) for c in cliques]
     everything = set(g.vertices())
     best = vset(everything)  # any clique pair beats deleting everything when n > 0
-    for i in range(len(cliques)):
-        for j in range(i, len(cliques)):
-            gone = vset(everything - set(cliques[i]) - set(cliques[j]))
-            if (len(gone), gone) < (len(best), best):
-                best = gone
+    for i, a in enumerate(masks):
+        for j in range(i, len(masks)):
+            if g.n - (a | masks[j]).bit_count() <= len(best):  # can win or tie
+                gone = vset(everything.difference(cliques[i], cliques[j]))
+                if (len(gone), gone) < (len(best), best):
+                    best = gone
     return _verified(g, best, CO_CHAIN, "chordal-to-co-chain")
 
 

@@ -27,6 +27,7 @@ from chordel.recognition import (
     find_asteroidal_triple,
     find_hole,
     is_valid_split_partition,
+    require_chordal,
     split_partition,
 )
 from chordel.split_solvers import _cross_cover
@@ -516,6 +517,31 @@ def block_cluster_deleted(g: Graph) -> tuple:
         doomed_old = {new2old[w] for w in doomed}
         deleted.extend(doomed_old)
         alive = [x for x in alive if x not in doomed_old]
+
+
+def maximal_cliques_chordal(g: Graph) -> list:
+    """Reference maximal-clique list: every C(v) = {v} ∪ later(v) of the
+    elimination ordering, kept unless another one strictly contains it."""
+    order = require_chordal(g)
+    pos = {v: i for i, v in enumerate(order)}
+    cands = sorted(
+        {vset({v} | {u for u in g.adj[v] if pos[u] > pos[v]}) for v in order}
+    )
+    return [c for c in cands if not any(c != d and set(c) < set(d) for d in cands)]
+
+
+def cochain_deleted(g: Graph) -> tuple:
+    """Reference chordal -> co-chain solver: the deleted set of every pair of
+    reference maximal cliques built and compared, the least (size, set) kept."""
+    cliques = maximal_cliques_chordal(g)
+    everything = set(g.vertices())
+    best = vset(everything)
+    for i in range(len(cliques)):
+        for j in range(i, len(cliques)):
+            gone = vset(everything - set(cliques[i]) - set(cliques[j]))
+            if (len(gone), gone) < (len(best), best):
+                best = gone
+    return best
 
 
 # Reference candidate families for the split solvers: the three builders

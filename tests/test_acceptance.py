@@ -346,3 +346,16 @@ def test_criterion_11_certificates_answer_members_fast():
         verdict = recognize(g, label)
         assert verdict.member == member
         finish(f"11 {name}", t0, 0.25)
+
+
+def test_criterion_12_split_solvers_at_scale():
+    # the sizes are the unbounded family's optima on these instances
+    big, mid = gen_split(1024, 0.5, 1), gen_split(80, 0.5, 1)
+    for name, solver, g, size, limit in (
+        ("split -> 2k2p3 at n = 1024", delete_to_2k2p3, big, 301, 2),
+        ("split -> cluster at n = 1024", delete_to_cluster_split, big, 301, 2),
+        ("split -> unit interval at n = 80", delete_to_unit_interval_split, mid, 23, 1),
+    ):
+        t0 = time.perf_counter()
+        assert solver(g).size == size
+        finish(f"12 {name}", t0, limit)

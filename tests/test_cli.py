@@ -138,6 +138,15 @@ def test_generate_interval_model(capsys):
     assert model.n == 5
 
 
+@pytest.mark.parametrize(
+    "klass", ["split", "threshold", "chordal", "block", "tree", "bipartite", "interval-model"]
+)
+def test_generate_negative_n_exits_2(klass, capsys):
+    assert main(["generate", "--class", klass, "--n", "-1", "--seed", "1"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == "error: --n must be at least 0, got -1\n"
+
+
 def test_reduce_vc_to_ffree_roundtrip(files, capsys, tmp_path):
     c4 = tmp_path / "c4.el"
     c4.write_text("4 4\n0 1\n1 2\n2 3\n3 0\n")
@@ -163,6 +172,19 @@ def test_reduce_vc_anchor_outside_the_pattern_exits_2(anchor, tmp_path, capsys):
     assert main(argv + [f"--anchor={anchor}", str(k2)]) == 2
     out = capsys.readouterr()
     assert out.out == "" and out.err.startswith("error: anchor")
+
+
+@pytest.mark.parametrize("anchor", ["9", "a,b", "1,2,3"])
+def test_reduce_vc_malformed_anchor_exits_2(anchor, tmp_path, capsys):
+    diamond = tmp_path / "diamond.el"
+    diamond.write_text("4 5\n0 1\n0 2\n0 3\n1 2\n2 3\n")
+    k2 = tmp_path / "k2.el"
+    k2.write_text("2 1\n0 1\n")
+    argv = ["reduce", "--from", "vc", "--to", "f-free", "--pattern", str(diamond)]
+    assert main(argv + [f"--anchor={anchor}", str(k2)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: --anchor must be two vertex ids 'a,b', got '{anchor}'\n"
 
 
 def test_reduce_chain_to_threshold(capsys, tmp_path):

@@ -1,3 +1,4 @@
+from functools import cache
 from itertools import chain
 
 import pytest
@@ -22,6 +23,7 @@ from chordel import (
 )
 from chordel import patterns as pat
 from chordel import split_solvers
+from chordel.graph import vset
 from chordel.randgen import gen_split
 from chordel.recognition import split_partition
 
@@ -131,28 +133,40 @@ def test_unit_interval_components_keep_small_independent_side():
                 assert len(indep_new & set(comp)) <= 3
 
 
-def test_candidate_families_match_reference(monkeypatch):
+def _family(g, runs, pairs):
+    # every move of the library's rule on each run (cliq, indep, forced),
+    # each covered: the unpruned family; runs repeat covers, so share them
+    cover = cache(lambda lefts, rights: set(split_solvers._cross_cover(g, lefts, rights)))
+    return [
+        vset(forced | f | cover(frozenset(cliq) - f, frozenset(indep) - s))
+        for cliq, indep, forced in runs
+        for f, s in split_solvers._moves(g, cliq, indep, pairs)
+    ]
+
+
+def test_candidate_families_match_reference():
     # the one move rule lists the same distinct candidates as the case-by-case
     # builders, on every labelled split graph up to 6 vertices and a seeded
-    # corpus; `_best` receives each solver's whole family
-    handed = []
-    best = split_solvers._best
-
-    def recording(cands):
-        handed.append(cands)
-        return best(cands)
-
-    monkeypatch.setattr(split_solvers, "_best", recording)
+    # corpus; the bounded search returns the best set of the whole family
     seeded = (
         gen_split(n, bias, seed)
         for n in (8, 12, 16) for bias in (0.2, 0.5, 0.8) for seed in range(30)
     )
     for g in chain(bf.labelled_split_graphs(6), seeded):
         part = split_partition(g)
-        delete_to_2k2p3(g)
         want = bf.non_clique_candidates(g, part.clique, part.independent)
-        assert set(handed.pop()) == set(want)
-        if not split_solvers._is_degenerate(g):
-            delete_to_unit_interval_split(g)
-            assert set(handed.pop()) == set(bf.unit_interval_candidates(g))
-        assert handed == []
+        runs = [(part.clique, part.independent, frozenset())]
+        assert set(_family(g, runs, False)) == set(want)
+        assert delete_to_2k2p3(g).deleted == split_solvers._best(want)
+        if split_solvers._is_degenerate(g):
+            continue
+        runs = []
+        for p in enumerate_split_partitions(g):
+            runs.append((p.clique, p.independent, frozenset()))
+            for v in p.independent:
+                moved = (set(p.clique) & g.adj[v]) | {v}
+                rest = [w for w in p.independent if w != v]
+                runs.append((moved, rest, frozenset(p.clique) - g.adj[v]))
+        want = bf.unit_interval_candidates(g)
+        assert set(_family(g, runs, True)) == set(want)
+        assert delete_to_unit_interval_split(g).deleted == split_solvers._best(want)

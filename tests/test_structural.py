@@ -185,6 +185,20 @@ def test_maximal_cliques_match_bruteforce():
         assert len(got) <= max(g.n, 1)
 
 
+def test_cliques_and_cochain_match_reference():
+    """The linear maximality rule lists the reference's cliques, and the
+    scored clique pairs give the reference's deleted set, tie-break included."""
+    corpus = [
+        gen(n, seed)
+        for gen in (gen_chordal, gen_tree, gen_block)
+        for n in [*range(40), 64, 128]
+        for seed in range(4)
+    ]
+    for g in corpus:
+        assert list_maximal_cliques_chordal(g) == bf.maximal_cliques_chordal(g)
+        assert delete_to_cochain_chordal(g).deleted == bf.cochain_deleted(g)
+
+
 def test_cochain_complete_graph():
     assert delete_to_cochain_chordal(pat.complete_graph(5)).deleted == ()
 
