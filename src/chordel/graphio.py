@@ -59,7 +59,7 @@ def _parse_edge_lines(lines: list[str]) -> tuple[Graph, list[str]]:
         except ValueError:
             numeric = False
             break
-        if not 0 <= v < n:
+        if not 0 <= v < n or str(v) != t:  # "01" or "+1" is a label
             numeric = False
             break
 
@@ -78,7 +78,14 @@ def _parse_edge_lines(lines: list[str]) -> tuple[Graph, list[str]]:
         if a == b:
             raise GraphInputError(f"self-loop {a!r}")
         edges.append((ix[a], ix[b]))
-    return Graph.from_edges(n, edges), labels
+    g = Graph.from_edges(n, edges)
+    if g.m < m:  # some edge is listed twice: name its second listing
+        seen: set[frozenset[int]] = set()
+        for (a, b), e in zip(pairs, edges):
+            if frozenset(e) in seen:
+                raise GraphInputError(f"repeated edge {a!r} {b!r}")
+            seen.add(frozenset(e))
+    return g, labels
 
 
 def write_edge_list(

@@ -13,12 +13,15 @@ block and 2K2/P3-free graphs are accepted by a near-linear certificate
 (`_certified`); chordal, interval and unit interval graphs by a PEO and
 the hole, asteroidal-triple and claw searches.  The obstruction search runs
 only on rejection, and skips the patterns that a split partition, a PEO or
-a bipartition of the complement has already ruled out.
+a bipartition of the complement has already ruled out.  The pattern, MCS,
+PEO and asteroidal-triple kernels run on int bitmasks of the adjacency, in
+the search order of adjacency sets, so the witnesses are the same.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable
 
 from . import patterns
@@ -116,6 +119,19 @@ class SplitPartition:
 # induced-pattern search
 
 
+def _mask(vertices: Iterable[int]) -> int:
+    """The int with bit v set for each of `vertices`."""
+    return sum(map((1).__lshift__, vertices))
+
+
+@lru_cache(maxsize=64)
+def _search_plan(f: Graph) -> tuple[tuple[int, ...], tuple[tuple[bool, ...], ...]]:
+    """Per depth: the pattern vertex's degree (highest first) and earlier adjacencies."""
+    order = sorted(f.vertices(), key=lambda u: (-f.degree(u), u))
+    wants = tuple(tuple(f.has_edge(u, x) for x in order[:k]) for k, u in enumerate(order))
+    return tuple(f.degree(u) for u in order), wants
+
+
 def _find_embedding(g: Graph, f: Graph) -> VertexSet | None:
     """First vertex set of g inducing a copy of f, by backtracking.
 
@@ -125,38 +141,31 @@ def _find_embedding(g: Graph, f: Graph) -> VertexSet | None:
         return ()
     if f.n > g.n:
         return None
-    # high-degree pattern vertices first: fail fast
-    order = sorted(f.vertices(), key=lambda u: (-f.degree(u), u))
-    # per depth: the g vertices of large enough degree, and the earlier
-    # pattern vertices' adjacency to the one placed there
-    degree = [len(nbrs) for nbrs in g.adj]
-    fits = [[w for w in g.vertices() if degree[w] >= f.degree(u)] for u in order]
-    wants = [[f.has_edge(u, x) for x in order[:k]] for k, u in enumerate(order)]
-    chosen: list[int] = []
-    used: set[int] = set()
+    need, wants = _search_plan(f)
+    # per depth, the mask of the g vertices of large enough degree; only the
+    # placed vertices get a neighbourhood mask, as a search often ends early
+    fit = {d: _mask(w for w in g.vertices() if len(g.adj[w]) >= d) for d in set(need)}
+    fits, masks, chosen = [fit[d] for d in need], [0] * g.n, []
 
-    def extend(k: int) -> VertexSet | None:
-        if k == len(order):
-            return vset(used)
-        want = wants[k]
-        for w in fits[k]:
-            if w in used:
-                continue
-            nbrs = g.adj[w]
-            for y, e in zip(chosen, want):
-                if (y in nbrs) != e:
-                    break
-            else:
-                chosen.append(w)
-                used.add(w)
-                hit = extend(k + 1)
-                if hit is not None:
-                    return hit
-                chosen.pop()
-                used.remove(w)
+    def extend(k: int, used: int) -> VertexSet | None:
+        if k == len(need):
+            return vset(chosen)
+        cands = fits[k] & ~used
+        for y, e in zip(chosen, wants[k]):
+            cands &= masks[y] if e else ~masks[y]
+        while cands:  # lowest id first
+            low = cands & -cands
+            w = low.bit_length() - 1
+            masks[w] = masks[w] or _mask(g.adj[w])
+            chosen.append(w)
+            hit = extend(k + 1, used | low)
+            if hit is not None:
+                return hit
+            chosen.pop()
+            cands ^= low
         return None
 
-    return extend(0)
+    return extend(0, 0)
 
 
 def find_clique_of_size(g: Graph, p: int) -> VertexSet | None:
@@ -193,20 +202,27 @@ def find_clique_of_size(g: Graph, p: int) -> VertexSet | None:
 
 
 def maximum_cardinality_search(g: Graph) -> list[int]:
-    """MCS visit order; its reverse is a PEO exactly when g is chordal."""
-    weight = [0] * g.n
-    visited = [False] * g.n
-    order = []
+    """MCS visit order; its reverse is a PEO exactly when g is chordal.  Each
+    step takes the least vertex of `buckets[top]`, the top weight's mask."""
+    masks, buckets = list(map(_mask, g.adj)), [(1 << g.n) - 1] + [0] * g.n
+    top, left, order = 0, buckets[0], []
     for _ in range(g.n):
-        v = max(
-            (u for u in g.vertices() if not visited[u]),
-            key=lambda u: (weight[u], -u),
-        )
-        visited[v] = True
-        order.append(v)
-        for u in g.adj[v]:
-            if not visited[u]:
-                weight[u] += 1
+        while not buckets[top]:
+            top -= 1
+        low = buckets[top] & -buckets[top]
+        buckets[top] ^= low
+        left ^= low
+        order.append(low.bit_length() - 1)
+        nbrs = masks[order[-1]] & left
+        for w in range(top, -1, -1):  # downwards, so none moves twice
+            if not nbrs:
+                break
+            up = buckets[w] & nbrs
+            buckets[w] ^= up
+            buckets[w + 1] |= up
+            nbrs ^= up
+        if buckets[top + 1]:
+            top += 1
     return order
 
 
@@ -216,13 +232,12 @@ def is_perfect_elimination_ordering(g: Graph, ordering: Iterable[int]) -> bool:
     if sorted(order) != list(g.vertices()):
         return False
     pos = {v: i for i, v in enumerate(order)}
-    for v in order:
-        later = [u for u in g.adj[v] if pos[u] > pos[v]]
-        if not later:
-            continue
-        u = min(later, key=lambda w: pos[w])
-        if any(w != u and not g.has_edge(u, w) for w in later):
-            return False
+    for i, v in enumerate(order):
+        later = {u for u in g.adj[v] if pos[u] > i}
+        if later:
+            u = min(later, key=pos.__getitem__)
+            if not later - {u} <= g.adj[u]:
+                return False
     return True
 
 
@@ -333,36 +348,38 @@ def enumerate_split_partitions(g: Graph) -> list[SplitPartition]:
 
 def find_asteroidal_triple(g: Graph) -> tuple[int, int, int] | None:
     """First vertex triple whose members pairwise connect while avoiding the
-    closed neighborhood of the third, in ascending order, or None."""
-    comp: list[dict[int, int]] = []
+    closed neighborhood of the third, in ascending order, or None.  `comp[z][v]`
+    masks the component of G - N[z] holding v, 0 when v is in N[z]."""
+    masks, bits = list(map(_mask, g.adj)), [1 << v for v in g.vertices()]
+    comp: list[list[int]] = []
     for z in g.vertices():
-        banned = g.closed_neighborhood(z)
-        label: dict[int, int] = {}
-        mark = 0
-        for start in g.vertices():
-            if start in banned or start in label:
-                continue
-            stack = [start]
-            label[start] = mark
-            while stack:
-                x = stack.pop()
-                for y in g.adj[x]:
-                    if y not in banned and y not in label:
-                        label[y] = mark
-                        stack.append(y)
-            mark += 1
+        rest = ((1 << g.n) - 1) & ~(masks[z] | bits[z])
+        label = [0] * g.n
+        while rest:
+            todo = part = bits[(rest & -rest).bit_length() - 1]  # shared by all z if alone
+            rest ^= todo
+            members = []
+            while todo:
+                low = todo & -todo
+                todo ^= low
+                members.append(low.bit_length() - 1)
+                reach = masks[members[-1]] & rest
+                rest ^= reach
+                todo |= reach
+                part |= reach
+            for v in members:
+                label[v] = part
         comp.append(label)
 
     for x in g.vertices():
         for y in range(x + 1, g.n):
-            for z in range(y + 1, g.n):
-                cz, cy, cx = comp[z], comp[y], comp[x]
-                if (
-                    x in cz and y in cz and cz[x] == cz[y]
-                    and x in cy and z in cy and cy[x] == cy[z]
-                    and y in cx and z in cx and cx[y] == cx[z]
-                ):
+            cands = (comp[y][x] & comp[x][y]) >> (y + 1)
+            while cands:  # lowest z first
+                low = cands & -cands
+                z = y + low.bit_length()
+                if comp[z][x] >> y & 1:
                     return (x, y, z)
+                cands ^= low
     return None
 
 

@@ -549,58 +549,193 @@ def cochain_deleted(g: Graph) -> tuple:
 # `_cross_cover` with the library, so they check the family, not the cover.
 
 
-def non_clique_candidates(g: Graph, cliq, indep) -> list:
+def non_clique_candidates(g: Graph, cliq, indep, cross_cover=_cross_cover) -> list:
     """Deletion sets that isolate all but one independent-side vertex.
 
     One candidate covers every cross edge; one candidate per independent
     vertex v keeps v attached by deleting the clique vertices missing from
     N(v) and covering what remains.
     """
-    cands = [_cross_cover(g, cliq, indep)]
+    cands = [cross_cover(g, cliq, indep)]
     for v in indep:
         kept = [u for u in cliq if u in g.adj[v]]
         removed = [u for u in cliq if u not in g.adj[v]]
         rest = [w for w in indep if w != v]
-        cover = _cross_cover(g, kept, rest)
+        cover = cross_cover(g, kept, rest)
         cands.append(vset(set(cover) | set(removed)))
     return cands
 
 
-def case1_candidates(g: Graph, cliq, indep) -> list:
+def case1_candidates(g: Graph, cliq, indep, cross_cover=_cross_cover) -> list:
     """Candidates when every kept independent vertex misses part of the clique.
 
     Besides the {2K2, P3}-free family, either a single independent vertex v
     stays attached (cover everything else), or exactly two stay; then the
     clique vertices seeing both, or those seeing neither, must go.
     """
-    cands = non_clique_candidates(g, cliq, indep)
+    cands = non_clique_candidates(g, cliq, indep, cross_cover)
     cset = set(cliq)
     for v in indep:
         rest = [w for w in indep if w != v]
-        cands.append(_cross_cover(g, cliq, rest))
+        cands.append(cross_cover(g, cliq, rest))
     for i, v1 in enumerate(indep):
         for v2 in indep[i + 1 :]:
             rest = [w for w in indep if w != v1 and w != v2]
             common = vset(cset & g.adj[v1] & g.adj[v2])
-            cover = _cross_cover(g, cset - set(common), rest)
+            cover = cross_cover(g, cset - set(common), rest)
             cands.append(vset(set(cover) | set(common)))
             outside = vset(cset - set(g.adj[v1]) - set(g.adj[v2]))
-            cover = _cross_cover(g, cset - set(outside), rest)
+            cover = cross_cover(g, cset - set(outside), rest)
             cands.append(vset(set(cover) | set(outside)))
     return cands
 
 
-def unit_interval_candidates(g: Graph) -> list:
+def cover_memo(g: Graph):
+    """`_cross_cover` on g, computed once per (clique side, independent side)
+    pair: the same pair recurs across partitions and case-2 runs."""
+    memo: dict = {}
+
+    def cross_cover(_g: Graph, cliq, indep) -> tuple:  # _cross_cover's signature
+        key = (frozenset(cliq), frozenset(indep))
+        if key not in memo:
+            memo[key] = _cross_cover(g, cliq, indep)
+        return memo[key]
+
+    return cross_cover
+
+
+def unit_interval_candidates(g: Graph, cross_cover=None) -> list:
     """Case 1 on every split partition, and case 2: for each independent v,
-    delete C minus N(v), move v to the clique side and rerun case 1."""
+    delete C minus N(v), move v to the clique side and rerun case 1.  Covers
+    come from `cross_cover`, by default a fresh `cover_memo(g)`."""
+    cross_cover = cross_cover or cover_memo(g)
     cands = []
     for part in enumerate_split_partitions(g):
         cliq, indep = part.clique, part.independent
-        cands.extend(case1_candidates(g, cliq, indep))
+        cands.extend(case1_candidates(g, cliq, indep, cross_cover))
         for v in indep:
             removed = vset(set(cliq) - g.adj[v])
             new_cliq = vset((set(cliq) & g.adj[v]) | {v})
             new_indep = vset(w for w in indep if w != v)
-            for sub in case1_candidates(g, new_cliq, new_indep):
+            for sub in case1_candidates(g, new_cliq, new_indep, cross_cover):
                 cands.append(vset(set(sub) | set(removed)))
     return cands
+
+
+# Reference search kernels: the adjacency-set versions of
+# `recognition._find_embedding`, `maximum_cardinality_search`,
+# `is_perfect_elimination_ordering` and `find_asteroidal_triple`, kept as
+# they were before the library moved to int bitmasks.  The bitmask kernels
+# must return exactly what these return.
+
+
+def find_embedding_reference(g: Graph, f: Graph) -> tuple | None:
+    """First vertex set of g inducing a copy of f, by backtracking.
+
+    Deterministic but not necessarily the lexicographically least witness.
+    """
+    if f.n == 0:
+        return ()
+    if f.n > g.n:
+        return None
+    # high-degree pattern vertices first: fail fast
+    order = sorted(f.vertices(), key=lambda u: (-f.degree(u), u))
+    # per depth: the g vertices of large enough degree, and the earlier
+    # pattern vertices' adjacency to the one placed there
+    degree = [len(nbrs) for nbrs in g.adj]
+    fits = [[w for w in g.vertices() if degree[w] >= f.degree(u)] for u in order]
+    wants = [[f.has_edge(u, x) for x in order[:k]] for k, u in enumerate(order)]
+    chosen: list[int] = []
+    used: set[int] = set()
+
+    def extend(k: int) -> tuple | None:
+        if k == len(order):
+            return vset(used)
+        want = wants[k]
+        for w in fits[k]:
+            if w in used:
+                continue
+            nbrs = g.adj[w]
+            for y, e in zip(chosen, want):
+                if (y in nbrs) != e:
+                    break
+            else:
+                chosen.append(w)
+                used.add(w)
+                hit = extend(k + 1)
+                if hit is not None:
+                    return hit
+                chosen.pop()
+                used.remove(w)
+        return None
+
+    return extend(0)
+
+
+def mcs_reference(g: Graph) -> list[int]:
+    """MCS visit order; its reverse is a PEO exactly when g is chordal."""
+    weight = [0] * g.n
+    visited = [False] * g.n
+    order = []
+    for _ in range(g.n):
+        v = max(
+            (u for u in g.vertices() if not visited[u]),
+            key=lambda u: (weight[u], -u),
+        )
+        visited[v] = True
+        order.append(v)
+        for u in g.adj[v]:
+            if not visited[u]:
+                weight[u] += 1
+    return order
+
+
+def is_peo_reference(g: Graph, ordering) -> bool:
+    """Check that each vertex's later neighbors induce a clique."""
+    order = list(ordering)
+    if sorted(order) != list(g.vertices()):
+        return False
+    pos = {v: i for i, v in enumerate(order)}
+    for v in order:
+        later = [u for u in g.adj[v] if pos[u] > pos[v]]
+        if not later:
+            continue
+        u = min(later, key=lambda w: pos[w])
+        if any(w != u and not g.has_edge(u, w) for w in later):
+            return False
+    return True
+
+
+def asteroidal_triple_reference(g: Graph) -> tuple | None:
+    """First vertex triple whose members pairwise connect while avoiding the
+    closed neighborhood of the third, in ascending order, or None."""
+    comp: list[dict[int, int]] = []
+    for z in g.vertices():
+        banned = g.closed_neighborhood(z)
+        label: dict[int, int] = {}
+        mark = 0
+        for start in g.vertices():
+            if start in banned or start in label:
+                continue
+            stack = [start]
+            label[start] = mark
+            while stack:
+                x = stack.pop()
+                for y in g.adj[x]:
+                    if y not in banned and y not in label:
+                        label[y] = mark
+                        stack.append(y)
+            mark += 1
+        comp.append(label)
+
+    for x in g.vertices():
+        for y in range(x + 1, g.n):
+            for z in range(y + 1, g.n):
+                cz, cy, cx = comp[z], comp[y], comp[x]
+                if (
+                    x in cz and y in cz and cz[x] == cz[y]
+                    and x in cy and z in cy and cy[x] == cy[z]
+                    and y in cx and z in cx and cx[y] == cx[z]
+                ):
+                    return (x, y, z)
+    return None

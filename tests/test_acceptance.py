@@ -62,6 +62,7 @@ from chordel.randgen import (
     gen_threshold,
     gen_tree,
 )
+from chordel.recognition import maximum_cardinality_search
 
 
 def finish(name: str, t0: float, limit: float) -> None:
@@ -359,3 +360,19 @@ def test_criterion_12_split_solvers_at_scale():
         t0 = time.perf_counter()
         assert solver(g).size == size
         finish(f"12 {name}", t0, limit)
+
+
+def test_criterion_13_recognition_kernels_at_scale():
+    tree = gen_tree(1024, 1)
+    t0 = time.perf_counter()
+    assert len(maximum_cardinality_search(tree)) == 1024
+    finish("13 MCS on a tree, n = 1024", t0, 0.05)
+    interval = model_to_graph(gen_interval_model(512, 1))
+    for name, g, label, limit in (
+        ("interval on an interval model graph, n = 512", interval, INTERVAL, 1.5),
+        ("unit interval on K200", pat.complete_graph(200), UNIT_INTERVAL, 0.5),
+        ("unit interval on 1,000 isolated vertices", pat.empty_graph(1000), UNIT_INTERVAL, 5),
+    ):
+        t0 = time.perf_counter()
+        assert recognize(g, label).member
+        finish(f"13 {name}", t0, limit)

@@ -255,6 +255,27 @@ def test_multi_graph_graph6_file_rejected(tmp_path, capsys):
     assert "holds 2 graphs" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edges,named", [
+    ("0 1\n1 0\n", "'1' '0'"),
+    ("0 1\n0 1\n", "'0' '1'"),
+    ("a b\nb a\n", "'b' 'a'"),
+], ids=["reversed", "same-order", "labels"])
+def test_repeated_edge_rejected(tmp_path, capsys, edges, named):
+    twice = tmp_path / "twice.el"
+    twice.write_text("3 2\n" + edges)
+    assert main(["recognize", "--class", "split", str(twice)]) == 2
+    assert f"repeated edge {named}" in capsys.readouterr().err
+
+
+def test_padded_ids_are_labels(tmp_path, capsys):
+    # "01" is not the id 1, so the file names vertices by label
+    padded = tmp_path / "padded.el"
+    padded.write_text("3 2\n01 1\n1 2\n")
+    code, recs = run_records(capsys, ["recognize", "--class", "split", str(padded)])
+    assert code == 0
+    assert recs[0]["m"] == 2
+
+
 def test_precondition_witness_uses_input_labels(tmp_path, capsys):
     c5 = tmp_path / "c5.el"
     c5.write_text("5 5\na b\nb c\nc d\nd e\ne a\n")

@@ -45,7 +45,16 @@ from chordel.recognition import (
     require_split,
 )
 from chordel import patterns as pat
-from chordel.randgen import gen_bipartite, gen_chordal, gen_split, gen_threshold, gen_tree
+from chordel.interval import model_to_graph
+from chordel.randgen import (
+    gen_bipartite,
+    gen_block,
+    gen_chordal,
+    gen_interval_model,
+    gen_split,
+    gen_threshold,
+    gen_tree,
+)
 
 
 def random_graph(n, p, seed):
@@ -238,6 +247,46 @@ def test_at_definition_spotcheck():
     # C6 has an asteroidal-free? no: C6 holds an AT of alternating vertices
     found, triple = has_asteroidal_triple(pat.cycle_graph(6))
     assert found and triple == (0, 2, 4)
+
+
+def _kernel_corpus():
+    """(graph, whether to compare pattern searches on it).  The reference
+    search is exhaustive when a pattern is absent, which takes seconds per
+    pattern on the dense generated graphs above n = 32, so there only the
+    sparse tree and block graphs compare pattern searches."""
+    for n in range(7):
+        for _, g in bf.labelled_graphs(n):
+            yield g, True
+    for n in range(7, 17):
+        for p in (0.2, 0.5, 0.8):
+            for seed in range(4):
+                yield random_graph(n, p, seed), True
+    for n in (32, 64, 128):
+        for seed in range(6):
+            yield gen_tree(n, seed), True
+            yield gen_block(n, seed), True
+            for g in (gen_chordal(n, seed), gen_split(n, 0.5, seed),
+                      model_to_graph(gen_interval_model(n, seed))):
+                yield g, n == 32
+
+
+def test_bitmask_kernels_match_reference():
+    # the bitmask kernels keep the adjacency-set search order, so every
+    # embedding, MCS order, PEO verdict and asteroidal triple is the same
+    rng = random.Random(7)
+    shapes = [random_graph(rng.randint(1, 6), rng.random(), rng.randrange(10**6))
+              for _ in range(50)]
+    for i, (g, search) in enumerate(_kernel_corpus()):
+        patterns = (*recognition._PATTERNS.values(), shapes[i % 50], shapes[i * 7 % 50])
+        for f in patterns if search else ():
+            assert recognition._find_embedding(g, f) == bf.find_embedding_reference(g, f)
+        order = maximum_cardinality_search(g)
+        assert order == bf.mcs_reference(g)
+        for ordering in (order, order[::-1], list(g.vertices()), list(g.vertices())[::-1]):
+            assert is_perfect_elimination_ordering(g, ordering) == bf.is_peo_reference(
+                g, ordering
+            )
+        assert find_asteroidal_triple(g) == bf.asteroidal_triple_reference(g)
 
 
 # ---------------------------------------------------------- pattern search

@@ -1,4 +1,3 @@
-from functools import cache
 from itertools import chain
 
 import pytest
@@ -133,12 +132,12 @@ def test_unit_interval_components_keep_small_independent_side():
                 assert len(indep_new & set(comp)) <= 3
 
 
-def _family(g, runs, pairs):
+def _family(g, runs, pairs, cover):
     # every move of the library's rule on each run (cliq, indep, forced),
-    # each covered: the unpruned family; runs repeat covers, so share them
-    cover = cache(lambda lefts, rights: set(split_solvers._cross_cover(g, lefts, rights)))
+    # each covered: the unpruned family; runs repeat covers, so `cover`
+    # is a `bf.cover_memo` shared with the reference
     return [
-        vset(forced | f | cover(frozenset(cliq) - f, frozenset(indep) - s))
+        vset(forced | f | set(cover(g, frozenset(cliq) - f, frozenset(indep) - s)))
         for cliq, indep, forced in runs
         for f, s in split_solvers._moves(g, cliq, indep, pairs)
     ]
@@ -153,10 +152,10 @@ def test_candidate_families_match_reference():
         for n in (8, 12, 16) for bias in (0.2, 0.5, 0.8) for seed in range(30)
     )
     for g in chain(bf.labelled_split_graphs(6), seeded):
-        part = split_partition(g)
-        want = bf.non_clique_candidates(g, part.clique, part.independent)
+        part, cover = split_partition(g), bf.cover_memo(g)
+        want = bf.non_clique_candidates(g, part.clique, part.independent, cover)
         runs = [(part.clique, part.independent, frozenset())]
-        assert set(_family(g, runs, False)) == set(want)
+        assert set(_family(g, runs, False, cover)) == set(want)
         assert delete_to_2k2p3(g).deleted == split_solvers._best(want)
         if split_solvers._is_degenerate(g):
             continue
@@ -167,6 +166,6 @@ def test_candidate_families_match_reference():
                 moved = (set(p.clique) & g.adj[v]) | {v}
                 rest = [w for w in p.independent if w != v]
                 runs.append((moved, rest, frozenset(p.clique) - g.adj[v]))
-        want = bf.unit_interval_candidates(g)
-        assert set(_family(g, runs, True)) == set(want)
+        want = bf.unit_interval_candidates(g, cover)
+        assert set(_family(g, runs, True, cover)) == set(want)
         assert delete_to_unit_interval_split(g).deleted == split_solvers._best(want)
