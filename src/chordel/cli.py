@@ -58,7 +58,7 @@ from .structural import (
     delete_to_cochain_chordal,
     delete_to_k2free_chordal,
 )
-from .graph import bipartition_classes
+from .graph import bipartition_classes, check_vertex_cap
 
 EXIT_OK = 0
 EXIT_PRECONDITION = 1
@@ -313,6 +313,7 @@ def _cmd_generate(args, fmt: str) -> int:
     name, n, seed = args.klass, args.n, args.seed
     if n < 0:
         raise GraphInputError(f"--n must be at least 0, got {n}")
+    check_vertex_cap(n)
     comments = (f"generated class={name} n={n} seed={seed}",)
     if name == "interval-model":
         model = randgen.gen_interval_model(n, seed)

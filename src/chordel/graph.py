@@ -15,8 +15,16 @@ if TYPE_CHECKING:
 VertexSet = tuple[int, ...]
 
 
+MAX_VERTICES = 1 << 20  # inputs and generators above this are refused before allocating
+
+
 class GraphInputError(ValueError):
     """Malformed graph input: bad ids, bad file syntax, broken invariants."""
+
+
+def check_vertex_cap(n: int) -> None:
+    if n > MAX_VERTICES:
+        raise GraphInputError(f"n = {n} is above the vertex cap {MAX_VERTICES}")
 
 
 def vset(vertices: Iterable[int]) -> VertexSet:

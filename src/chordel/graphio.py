@@ -11,7 +11,7 @@ major, 6-bit chunks offset by 63), so output is bit-exact interchange.
 
 from __future__ import annotations
 
-from .graph import Graph, GraphInputError
+from .graph import Graph, GraphInputError, check_vertex_cap
 
 
 def _data_lines(text: str) -> list[str]:
@@ -41,6 +41,7 @@ def _parse_edge_lines(lines: list[str]) -> tuple[Graph, list[str]]:
         raise GraphInputError(f"header must be 'n m', got {lines[0]!r}") from None
     if n < 0 or m < 0:
         raise GraphInputError("negative n or m")
+    check_vertex_cap(n)
     if len(lines) - 1 != m:
         raise GraphInputError(f"expected {m} edge lines, found {len(lines) - 1}")
 
@@ -155,6 +156,7 @@ def from_graph6(line: str) -> Graph:
         for v in vals[2:8]:
             n = (n << 6) | v
         pos = 8
+    check_vertex_cap(n)
 
     need = (n * (n - 1) // 2 + 5) // 6
     if len(vals) - pos != need:

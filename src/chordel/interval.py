@@ -44,10 +44,6 @@ class IntervalModel:
     def right(self, v: int) -> int | Fraction:
         return self.intervals[v][1]
 
-    def is_general_position(self) -> bool:
-        pts = [p for l, r in self.intervals for p in (l, r)]
-        return len(set(pts)) == 2 * self.n and all(l < r for l, r in self.intervals)
-
     def normalized(self) -> "IntervalModel":
         """Re-space endpoints to 1..2n preserving order and the graph.
 

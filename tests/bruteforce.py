@@ -5,9 +5,11 @@ Deliberately naive so it can be trusted, and kept apart from the library
 paths it checks.
 """
 
+import random
 from bisect import bisect_left
 from itertools import combinations, permutations
 
+import named_graphs as ng
 from chordel import (
     Bipartition,
     Graph,
@@ -304,7 +306,7 @@ def _window_clique(m, lo, hi) -> tuple:
 
 
 def _general_position(m):
-    return m if m.is_general_position() else m.normalized()
+    return m if ng.is_general_position(m) else m.normalized()
 
 
 def interval_cluster(m) -> tuple:
@@ -739,3 +741,35 @@ def asteroidal_triple_reference(g: Graph) -> tuple | None:
                 ):
                     return (x, y, z)
     return None
+
+
+def gen_chordal_reference(n: int, seed: int = 0) -> Graph:
+    """`randgen.gen_chordal` as it was with a rebuilt frontier and pairwise
+    subtree intersections; the library version must draw the same graph."""
+    rng = random.Random(seed)
+    if n == 0:
+        return Graph.from_edges(0, [])
+    host: dict[int, set[int]] = {0: set()}
+    for v in range(1, n):
+        u = rng.randrange(v)
+        host.setdefault(v, set()).add(u)
+        host[u].add(v)
+    subtrees = []
+    for _ in range(n):
+        target = rng.randint(1, n)
+        sub = {rng.randrange(n)}
+        while len(sub) < target:
+            frontier = sorted(
+                {w for x in sub for w in host[x] if w not in sub}
+            )
+            if not frontier:
+                break
+            sub.add(rng.choice(frontier))
+        subtrees.append(sub)
+    edges = [
+        (i, j)
+        for i in range(n)
+        for j in range(i + 1, n)
+        if subtrees[i] & subtrees[j]
+    ]
+    return Graph.from_edges(n, edges)

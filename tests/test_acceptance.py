@@ -10,6 +10,7 @@ from itertools import combinations
 
 import bruteforce as bf
 from bruteforce import are_isomorphic
+import named_graphs as ng
 from chordel import (
     BLOCK,
     CHORDAL,
@@ -73,7 +74,7 @@ def finish(name: str, t0: float, limit: float) -> None:
 
 def test_criterion_1_double_star_complete_split():
     t0 = time.perf_counter()
-    result = delete_to_complete_split(pat.double_star(2, 1))
+    result = delete_to_complete_split(ng.double_star(2, 1))
     assert result.size == 1
     assert result.deleted == (4,)  # exactly v3, the unique optimum
     finish("1 double-star complete-split optimum", t0, 1)
@@ -81,12 +82,12 @@ def test_criterion_1_double_star_complete_split():
 
 def test_criterion_2_tent_gadget_on_four_cycle():
     t0 = time.perf_counter()
-    image = reduce_vc_to_ffree(pat.cycle_graph(4), pat.tent(), (0, 1))
+    image = reduce_vc_to_ffree(pat.cycle_graph(4), ng.tent(), (0, 1))
     assert recognize(image, CHORDAL).member
-    best = oracle_min_deletion(image, f_free(pat.tent()), allow_large=True)
+    best = oracle_min_deletion(image, f_free(ng.tent()), allow_large=True)
     assert best.size == 2
     rest, _ = delete_vertices(image, (0, 2))  # opposite corners of the cycle
-    assert recognize(rest, f_free(pat.tent())).member
+    assert recognize(rest, f_free(ng.tent())).member
     finish("2 tent gadget on a four-cycle", t0, 30)
 
 
@@ -256,7 +257,7 @@ def test_criterion_7_reduction_soundness():
             assert got is None, s
 
     # (c) vertex cover -> pattern-free deletion, diamond and tent gadgets
-    for pattern in (pat.diamond(), pat.tent()):
+    for pattern in (pat.diamond(), ng.tent()):
         for s in range(100):
             g = _small_random_graph(s, 6, 0.35, 7)
             image = reduce_vc_to_ffree(g, pattern)
@@ -376,3 +377,9 @@ def test_criterion_13_recognition_kernels_at_scale():
         t0 = time.perf_counter()
         assert recognize(g, label).member
         finish(f"13 {name}", t0, limit)
+
+
+def test_criterion_14_chordal_generator_at_scale():
+    t0 = time.perf_counter()
+    assert gen_chordal(512, 1).m == 127050
+    finish("14 chordal generator, n = 512", t0, 1.5)

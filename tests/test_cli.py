@@ -8,6 +8,7 @@ import pytest
 
 from chordel import parse_edge_list, recognize, CHORDAL, SPLIT, THRESHOLD
 from chordel.cli import _GRAPH_SOLVERS, _MODEL_SOLVERS, main
+from chordel.graph import MAX_VERTICES
 
 
 DSTAR = "5 4\nu1 u2\nu1 v1\nu1 v2\nu2 v3\n"
@@ -145,6 +146,29 @@ def test_generate_negative_n_exits_2(klass, capsys):
     assert main(["generate", "--class", klass, "--n", "-1", "--seed", "1"]) == 2
     out = capsys.readouterr()
     assert out.out == "" and out.err == "error: --n must be at least 0, got -1\n"
+
+
+def cap_error(n: int) -> str:
+    return f"error: n = {n} is above the vertex cap {MAX_VERTICES}\n"
+
+
+@pytest.mark.parametrize("text, n", [
+    ("100000000000 0\n", 100000000000),
+    ("~~A?????\n", 1 << 31),  # graph6 size bytes only: the body is never read
+], ids=["edge-list", "graph6"])
+def test_input_above_vertex_cap_exits_2(text, n, capsys, tmp_path):
+    huge = tmp_path / "huge.txt"
+    huge.write_text(text)
+    assert main(["recognize", "--class", "chordal", str(huge)]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == cap_error(n)
+
+
+@pytest.mark.parametrize("klass", ["split", "interval-model"])
+def test_generate_above_vertex_cap_exits_2(klass, capsys):
+    assert main(["generate", "--class", klass, "--n", "100000000000"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == cap_error(100000000000)
 
 
 def test_reduce_vc_to_ffree_roundtrip(files, capsys, tmp_path):

@@ -17,6 +17,7 @@ from chordel import (
     write_edge_list,
 )
 from bruteforce import remove_edges
+import named_graphs as ng
 from chordel.graph import add_edges, bipartition_classes, disjoint_union
 from chordel import patterns as pat
 
@@ -45,7 +46,7 @@ def test_delete_vertices_examples():
     g, _ = delete_vertices(c4, [0])
     assert (g.n, g.m) == (3, 2) and sorted(g.degree(v) for v in g) == [1, 1, 2]
 
-    dstar = pat.double_star(2, 1)
+    dstar = ng.double_star(2, 1)
     g, _ = delete_vertices(dstar, [4])
     from chordel import COMPLETE_SPLIT, recognize
 
@@ -116,7 +117,7 @@ def test_bipartition_classes():
 
 
 def test_edge_list_roundtrip_numeric():
-    g = pat.double_star(2, 1)
+    g = ng.double_star(2, 1)
     text = write_edge_list(g)
     back, labels = parse_edge_list(text)
     assert back.edges() == g.edges()

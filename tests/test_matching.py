@@ -2,6 +2,7 @@ import pytest
 
 import bruteforce as bf
 from bruteforce import remove_clique_edges
+import named_graphs as ng
 from chordel import (
     Bipartition,
     Graph,
@@ -16,7 +17,7 @@ from chordel.randgen import gen_bipartite
 
 
 def test_remove_clique_edges_double_star():
-    g = pat.double_star(2, 1)
+    g = ng.double_star(2, 1)
     stripped, sides = remove_clique_edges(g, SplitPartition((0, 1), (2, 3, 4)))
     assert stripped.edges() == [(0, 2), (0, 3), (1, 4)]
     assert sides == Bipartition((0, 1), (2, 3, 4))

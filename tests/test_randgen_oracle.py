@@ -1,5 +1,10 @@
+import json
+
 import pytest
 
+import bruteforce as bf
+import capture_randgen_digests as digests
+import named_graphs as ng
 from chordel import (
     BLOCK,
     CHORDAL,
@@ -34,7 +39,7 @@ def test_oracle_c4_to_chordal():
 
 
 def test_oracle_double_star_complete_split():
-    result = oracle_min_deletion(pat.double_star(2, 1), COMPLETE_SPLIT)
+    result = oracle_min_deletion(ng.double_star(2, 1), COMPLETE_SPLIT)
     assert result.deleted == (4,)
 
 
@@ -97,7 +102,7 @@ def test_generators_hit_their_classes():
         t = gen_tree(8, seed)
         assert recognize(t, CHORDAL).member and recognize(t, BLOCK).member
         m = gen_interval_model(7, seed)
-        assert m.is_general_position()
+        assert ng.is_general_position(m)
         assert recognize(model_to_graph(m), INTERVAL).member
         g, sides = gen_bipartite(8, 0.5, seed)
         check_bipartition(g, sides)
@@ -112,6 +117,29 @@ def test_generators_handle_tiny_n():
         gen_tree(n, 1)
         gen_interval_model(n, 1)
         gen_bipartite(n, 0.5, 1)
+
+
+def test_chordal_generator_matches_reference():
+    cases = [(n, seed) for n in range(71) for seed in range(6)]
+    cases += [(n, seed) for n in (128, 200) for seed in range(2)]
+    for n, seed in cases:
+        assert gen_chordal(n, seed) == bf.gen_chordal_reference(n, seed), (n, seed)
+
+
+@pytest.fixture(scope="module")
+def pinned_digests():
+    return json.loads(digests.GOLDEN.read_text())
+
+
+@pytest.mark.parametrize("name", sorted(digests.GENERATORS))
+def test_generators_match_pinned_digests(name, pinned_digests):
+    # n = 1024 is pinned too; tier-1 recomputes it only for gen_chordal(1024, 1)
+    cases = [(n, seed) for n in (64, 256) for seed in digests.SEEDS]
+    if name == "gen_chordal":
+        cases.append((1024, 1))
+    for n, seed in cases:
+        key = digests.case_key(name, n, seed)
+        assert digests.digest(name, n, seed) == pinned_digests[key], key
 
 
 def test_oracle_k2_free_is_vertex_cover():

@@ -9,6 +9,7 @@ import pytest
 
 import bruteforce as bf
 from bruteforce import are_isomorphic, find_pattern, has_asteroidal_triple
+import named_graphs as ng
 from chordel import (
     BLOCK,
     CHORDAL,
@@ -123,7 +124,7 @@ def test_mcs_order_is_permutation():
 
 
 def test_split_partition_double_star():
-    part = split_partition(pat.double_star(2, 1))
+    part = split_partition(ng.double_star(2, 1))
     assert part == SplitPartition((0, 1), (2, 3, 4))
 
 
@@ -208,8 +209,8 @@ def test_enumerate_split_partitions_k2():
 
 
 def test_enumerate_split_partitions_double_star():
-    assert len(enumerate_split_partitions(pat.double_star(2, 1))) == 1
-    smaller, _ = delete_vertices(pat.double_star(2, 1), [4])
+    assert len(enumerate_split_partitions(ng.double_star(2, 1))) == 1
+    smaller, _ = delete_vertices(ng.double_star(2, 1), [4])
     assert len(enumerate_split_partitions(smaller)) == 4
 
 
@@ -231,7 +232,7 @@ def test_enumerate_split_partitions_rejects_nonsplit():
 
 
 def test_net_asteroidal_triple():
-    found, triple = has_asteroidal_triple(pat.net())
+    found, triple = has_asteroidal_triple(ng.net())
     assert found and triple == (3, 4, 5)
 
 
@@ -299,14 +300,14 @@ def test_find_pattern_simple():
 
 def test_find_pattern_rising_sun_has_no_induced_tent():
     # every 6-subset of the rising sun induces 7, 8, or 10 edges, never 9
-    assert not bf.contains_induced(pat.rising_sun(), pat.tent())
-    assert find_pattern(pat.rising_sun(), pat.tent()) is None
+    assert not bf.contains_induced(ng.rising_sun(), ng.tent())
+    assert find_pattern(ng.rising_sun(), ng.tent()) is None
 
 
 def test_find_pattern_rising_sun_positive():
-    witness = find_pattern(pat.rising_sun(), pat.diamond())
+    witness = find_pattern(ng.rising_sun(), pat.diamond())
     assert witness is not None
-    assert are_isomorphic(bf.induced(pat.rising_sun(), witness), pat.diamond())
+    assert are_isomorphic(bf.induced(ng.rising_sun(), witness), pat.diamond())
 
 
 def test_find_pattern_lexicographic_least():
@@ -362,25 +363,25 @@ def test_find_clique_of_size_lexicographic_least():
 
 POSITIVE = [
     (CHORDAL, pat.complete_graph(4)),
-    (CHORDAL, pat.net()),
+    (CHORDAL, ng.net()),
     (INTERVAL, pat.path_graph(5)),
-    (UNIT_INTERVAL, pat.bull()),
-    (UNIT_INTERVAL, pat.fitted_split_uig()),
-    (SPLIT, pat.double_star(2, 1)),
+    (UNIT_INTERVAL, ng.bull()),
+    (UNIT_INTERVAL, ng.fitted_split_uig()),
+    (SPLIT, ng.double_star(2, 1)),
     (THRESHOLD, pat.complete_split_pattern(2, 2)),
-    (COMPLETE_SPLIT, pat.star_graph(4)),
-    (TRIVIALLY_PERFECT, pat.star_graph(3)),
+    (COMPLETE_SPLIT, ng.star_graph(4)),
+    (TRIVIALLY_PERFECT, ng.star_graph(3)),
     (CLUSTER, pat.two_k2()),
-    (BLOCK, pat.bull()),
+    (BLOCK, ng.bull()),
     (CO_CHAIN, pat.co_p3()),
     (TWO_K2_P3_FREE, pat.complete_graph(3)),
     (kp_free(3), pat.cycle_graph(5)),
-    (f_free(pat.net()), pat.tent()),
+    (f_free(ng.net()), ng.tent()),
 ]
 
 NEGATIVE = [
     (CHORDAL, pat.cycle_graph(5), "hole"),
-    (INTERVAL, pat.net(), "asteroidal-triple"),
+    (INTERVAL, ng.net(), "asteroidal-triple"),
     (INTERVAL, pat.cycle_graph(4), "hole"),
     (UNIT_INTERVAL, pat.claw(), "claw"),
     (SPLIT, pat.two_k2(), "2k2"),
@@ -391,7 +392,7 @@ NEGATIVE = [
     (BLOCK, pat.diamond(), "diamond"),
     (CO_CHAIN, pat.empty_graph(3), "i3"),
     (CO_CHAIN, pat.cycle_graph(5), "c5"),
-    (TWO_K2_P3_FREE, pat.star_graph(3), "p3"),
+    (TWO_K2_P3_FREE, ng.star_graph(3), "p3"),
     (kp_free(3), pat.complete_graph(3), "k3"),
     (f_free(pat.diamond()), pat.diamond(), "pattern"),
 ]
@@ -449,8 +450,8 @@ def test_recognize_agrees_with_obstruction_scan():
 
 
 def test_unit_interval_net_and_tent_rejected():
-    assert not recognize(pat.net(), UNIT_INTERVAL).member
-    assert not recognize(pat.tent(), UNIT_INTERVAL).member
+    assert not recognize(ng.net(), UNIT_INTERVAL).member
+    assert not recognize(ng.tent(), UNIT_INTERVAL).member
 
 
 def test_self_complementary_split_threshold():
@@ -500,8 +501,8 @@ def _drop_clique_edges(g, cliq):
 
 
 def test_are_isomorphic_basic():
-    assert are_isomorphic(pat.net(), complement(pat.tent()))
-    assert not are_isomorphic(pat.net(), pat.tent())
+    assert are_isomorphic(ng.net(), complement(ng.tent()))
+    assert not are_isomorphic(ng.net(), ng.tent())
     for seed in range(20):
         g = random_graph(8, 0.5, seed)
         rng = random.Random(seed)

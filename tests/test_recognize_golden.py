@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+import named_graphs as ng
 from chordel import Graph, recognize
 from chordel import patterns as pat
 from chordel import randgen
@@ -45,19 +46,19 @@ def corpus():
         ("p5", pat.path_graph(5)),
         ("k5", pat.complete_graph(5)),
         ("i5", pat.empty_graph(5)),
-        ("star4", pat.star_graph(4)),
+        ("star4", ng.star_graph(4)),
         ("complete-split-2-3", pat.complete_split_pattern(2, 3)),
         ("two-k2", pat.two_k2()),
         ("co-p3", pat.co_p3()),
         ("claw", pat.claw()),
         ("diamond", pat.diamond()),
-        ("net", pat.net()),
-        ("tent", pat.tent()),
-        ("rising-sun", pat.rising_sun()),
-        ("bull", pat.bull()),
-        ("gem", pat.gem()),
-        ("double-star-2-1", pat.double_star(2, 1)),
-        ("fitted-split-uig", pat.fitted_split_uig()),
+        ("net", ng.net()),
+        ("tent", ng.tent()),
+        ("rising-sun", ng.rising_sun()),
+        ("bull", ng.bull()),
+        ("gem", ng.gem()),
+        ("double-star-2-1", ng.double_star(2, 1)),
+        ("fitted-split-uig", ng.fitted_split_uig()),
         ("split-8", randgen.gen_split(8, 0.5, 1)),
         ("threshold-8", randgen.gen_threshold(8, 2)[0]),
         ("interval-9", model_to_graph(randgen.gen_interval_model(9, 3))),

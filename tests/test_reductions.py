@@ -4,6 +4,7 @@ from itertools import combinations
 import pytest
 
 from bruteforce import are_isomorphic
+import named_graphs as ng
 from chordel import (
     Bipartition,
     CHORDAL,
@@ -75,7 +76,7 @@ def test_threshold_model_roundtrip_many():
     for seed in range(100):
         g, _ = gen_threshold(7, seed)
         m = threshold_interval_model(g)
-        assert m.is_general_position()
+        assert ng.is_general_position(m)
         assert model_to_graph(m).edges() == g.edges()
 
 
@@ -259,10 +260,10 @@ def test_vc_gadget_output_chordal_and_sound():
 
 
 def test_tent_gadget_on_four_cycle():
-    h = reduce_vc_to_ffree(pat.cycle_graph(4), pat.tent(), (0, 1))
+    h = reduce_vc_to_ffree(pat.cycle_graph(4), ng.tent(), (0, 1))
     assert h.n == 20
     assert recognize(h, CHORDAL).member
-    best = oracle_min_deletion(h, f_free(pat.tent()), allow_large=True)
+    best = oracle_min_deletion(h, f_free(ng.tent()), allow_large=True)
     assert best.size == 2 and best.deleted == (0, 2)
     rest, _ = delete_vertices(h, (0, 2))
-    assert recognize(rest, f_free(pat.tent())).member
+    assert recognize(rest, f_free(ng.tent())).member

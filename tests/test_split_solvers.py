@@ -3,6 +3,7 @@ from itertools import chain
 import pytest
 
 import bruteforce as bf
+import named_graphs as ng
 from chordel import (
     CLUSTER,
     COMPLETE_SPLIT,
@@ -41,7 +42,7 @@ def test_2k2p3_already_free():
 
 
 def test_2k2p3_double_star_matches_oracle():
-    g = pat.double_star(2, 1)
+    g = ng.double_star(2, 1)
     result = delete_to_2k2p3(g)
     want = oracle_min_deletion(g, TWO_K2_P3_FREE)
     assert result.size == want.size == 1
@@ -50,9 +51,9 @@ def test_2k2p3_double_star_matches_oracle():
 
 
 def test_2k2p3_star():
-    assert delete_to_2k2p3(pat.star_graph(3)).size == 1
+    assert delete_to_2k2p3(ng.star_graph(3)).size == 1
     assert bf.min_deletion(
-        pat.star_graph(3), lambda h: recognize(h, TWO_K2_P3_FREE).member
+        ng.star_graph(3), lambda h: recognize(h, TWO_K2_P3_FREE).member
     ) == 1
 
 
@@ -68,7 +69,7 @@ def test_cluster_split_triangle_plus_isolated():
 
 
 def test_complete_split_double_star_unique_optimum():
-    result = delete_to_complete_split(pat.double_star(2, 1))
+    result = delete_to_complete_split(ng.double_star(2, 1))
     assert result.deleted == (4,)  # the lone leaf on the second center
 
 
@@ -77,11 +78,11 @@ def test_complete_split_already_complete():
 
 
 def test_unit_interval_fitted_example():
-    assert delete_to_unit_interval_split(pat.fitted_split_uig()).deleted == ()
+    assert delete_to_unit_interval_split(ng.fitted_split_uig()).deleted == ()
 
 
 def test_unit_interval_net():
-    result = delete_to_unit_interval_split(pat.net())
+    result = delete_to_unit_interval_split(ng.net())
     assert result.size == 1
 
 

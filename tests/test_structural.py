@@ -3,6 +3,7 @@ import random
 import pytest
 
 import bruteforce as bf
+import named_graphs as ng
 from chordel import (
     CLUSTER,
     CO_CHAIN,
@@ -77,7 +78,7 @@ def test_tree_cluster_p3():
 
 
 def test_tree_cluster_star():
-    result = delete_to_cluster_tree(pat.star_graph(4))
+    result = delete_to_cluster_tree(ng.star_graph(4))
     assert result.deleted == (0,)
 
 
