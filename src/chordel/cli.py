@@ -18,7 +18,7 @@ from contextlib import contextmanager
 
 from . import randgen
 from .graph import DeletionResult, Graph, GraphInputError, delete_vertices, vset
-from .graphio import sniff_and_parse, write_edge_list
+from .graphio import padding_labels, sniff_and_parse, write_edge_list
 from .interval import (
     IntervalModel,
     max_cluster_subgraph,
@@ -280,11 +280,9 @@ def _cmd_reduce(args, fmt: str) -> int:
         if sides is None:
             raise NotInClassError("bipartite")
         out = reduce_chain_to_threshold(g, Bipartition(*sides))
-        out_labels = labels
     elif pair == ("threshold", "interval"):
         with _witness_in(labels):
             out = reduce_threshold_to_interval(g)
-        out_labels = labels + [f"_g{i}" for i in range(g.n, out.n)]
     elif pair == ("vc", "f-free"):
         if not args.pattern:
             raise GraphInputError("vc -> f-free needs --pattern")
@@ -298,11 +296,11 @@ def _cmd_reduce(args, fmt: str) -> int:
                 raise GraphInputError(msg) from None
             anchor = (a, b)
         out = reduce_vc_to_ffree(g, pat, anchor)
-        out_labels = labels + [f"_g{i}" for i in range(g.n, out.n)]
         comments.append(f"pattern {args.pattern} anchor {anchor or pat.edges()[0]}")
     else:
         raise GraphInputError(f"unknown reduction {args.source!r} -> {args.target!r}")
 
+    out_labels = labels + padding_labels(set(labels), "_g", g.n, out.n)
     text = write_edge_list(out, out_labels, comments=tuple(comments))
     record = {"command": "reduce", "from": args.source, "to": args.target,
               "input": path, "output": args.output, "n": out.n, "m": out.m}

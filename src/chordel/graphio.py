@@ -1,9 +1,15 @@
 """Graph text formats: edge-list files and graph6 strings.
 
+This module owns the text rules: which lines carry data (also for the
+interval-model files `interval` reads), when tokens are ids and when labels,
+how unnamed vertices are labelled, and which labels can be written.
+
 Edge-list format: the first data line is "n m", followed by m lines "u v".
-Blank lines and lines starting with "#" are ignored.  Endpoints are either
-0-based integer ids or arbitrary labels; labels are re-indexed in sorted
-order and the label list is returned alongside the graph.
+Blank lines and lines starting with "#" are ignored.  Endpoints are ids
+exactly when every one is the decimal form of an id in 0..n-1 (no sign, no
+leading zero); otherwise all are labels, re-indexed in sorted order, and
+vertices no edge names get `padding_labels`.  The label list is returned
+alongside the graph.
 
 graph6 follows the standard bit-level definition (upper triangle, column
 major, 6-bit chunks offset by 63), so output is bit-exact interchange.
@@ -11,21 +17,33 @@ major, 6-bit chunks offset by 63), so output is bit-exact interchange.
 
 from __future__ import annotations
 
+from itertools import zip_longest
+
 from .graph import Graph, GraphInputError, check_vertex_cap
 
 
-def _data_lines(text: str) -> list[str]:
+def data_lines(text: str) -> list[str]:
+    """The stripped lines of `text` that are neither blank nor "#" comments."""
+    lines = (raw.strip() for raw in text.splitlines())
+    return [line for line in lines if line and line[0] != "#"]
+
+
+def padding_labels(used, stem: str, start: int, stop: int) -> list[str]:
+    """Labels `stem + str(i)` for i in start..stop-1, for vertices the input
+    names no label for.  A name in `used` gets leading underscores until it
+    is free, so a padding label never repeats an input label."""
     out = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            out.append(line)
+    for i in range(start, stop):
+        name = f"{stem}{i}"
+        while name in used:
+            name = "_" + name
+        out.append(name)
     return out
 
 
 def parse_edge_list(text: str) -> tuple[Graph, list[str]]:
     """Parse edge-list text into a graph plus per-id labels."""
-    return _parse_edge_lines(_data_lines(text))
+    return _parse_edge_lines(data_lines(text))
 
 
 def _parse_edge_lines(lines: list[str]) -> tuple[Graph, list[str]]:
@@ -53,26 +71,15 @@ def _parse_edge_lines(lines: list[str]) -> tuple[Graph, list[str]]:
         pairs.append((toks[0], toks[1]))
 
     tokens = {t for uv in pairs for t in uv}
-    numeric = True
-    for t in tokens:
-        try:
-            v = int(t)
-        except ValueError:
-            numeric = False
-            break
-        if not 0 <= v < n or str(v) != t:  # "01" or "+1" is a label
-            numeric = False
-            break
-
-    if numeric:
-        labels = [str(i) for i in range(n)]
-        ix = {str(i): i for i in range(n)}
+    ix = {str(i): i for i in range(n)}
+    if tokens <= ix.keys():  # every token an id: no sign, no leading zero
+        labels = list(ix)
     else:
-        named = sorted(tokens)
-        if len(named) > n:
-            raise GraphInputError(f"{len(named)} labels but n = {n}")
-        labels = named + [f"_v{i}" for i in range(len(named), n)]
-        ix = {lab: i for i, lab in enumerate(named)}
+        labels = sorted(tokens)
+        if len(labels) > n:
+            raise GraphInputError(f"{len(labels)} labels but n = {n}")
+        ix = {lab: i for i, lab in enumerate(labels)}
+        labels += padding_labels(tokens, "_v", len(labels), n)
 
     edges = []
     for a, b in pairs:
@@ -92,11 +99,21 @@ def _parse_edge_lines(lines: list[str]) -> tuple[Graph, list[str]]:
 def write_edge_list(
     g: Graph, labels: list[str] | None = None, comments: tuple[str, ...] = ()
 ) -> str:
-    """Deterministic edge-list text: header, then edges ascending."""
+    """Deterministic edge-list text: header, then edges ascending.
+
+    Explicit labels must read back as written: a label that is empty, holds
+    whitespace, starts with "#" or repeats is refused before any text is made.
+    """
     if labels is None:
         labels = [str(i) for i in range(g.n)]
-    if len(labels) != g.n:
+    elif len(labels) != g.n:
         raise GraphInputError("label list length mismatch")
+    else:
+        seen = set()
+        for lab in labels:
+            if lab.split() != [lab] or lab[0] == "#" or lab in seen:
+                raise GraphInputError(f"label {lab!r} cannot be written: it would not read back")
+            seen.add(lab)
     out = [f"# {c}" for c in comments]
     out.append(f"{g.n} {g.m}")
     out.extend(f"{labels[u]} {labels[v]}" for u, v in g.edges())
@@ -114,19 +131,14 @@ def _g6_size_bytes(n: int) -> list[int]:
 
 
 def to_graph6(g: Graph) -> str:
-    bits = []
-    for j in range(1, g.n):
-        for i in range(j):
-            bits.append(1 if g.has_edge(i, j) else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    data = []
-    for k in range(0, len(bits), 6):
+    bits = (j in g.adj[i] for j in range(1, g.n) for i in range(j))
+    data = _g6_size_bytes(g.n)
+    for chunk in zip_longest(*[bits] * 6, fillvalue=False):
         x = 0
-        for b in bits[k : k + 6]:
+        for b in chunk:
             x = (x << 1) | b
         data.append(x + 63)
-    return "".join(chr(c) for c in _g6_size_bytes(g.n) + data)
+    return "".join(map(chr, data))
 
 
 def from_graph6(line: str) -> Graph:
@@ -161,24 +173,15 @@ def from_graph6(line: str) -> Graph:
     need = (n * (n - 1) // 2 + 5) // 6
     if len(vals) - pos != need:
         raise GraphInputError(f"graph6 body has {len(vals) - pos} bytes, expected {need}")
-    bits = []
-    for v in vals[pos:]:
-        for s6 in range(5, -1, -1):
-            bits.append((v >> s6) & 1)
-
-    edges = []
-    k = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[k]:
-                edges.append((i, j))
-            k += 1
+    bits = ((v >> s6) & 1 for v in vals[pos:] for s6 in range(5, -1, -1))
+    pairs = ((i, j) for j in range(1, n) for i in range(j))
+    edges = [ij for ij, bit in zip(pairs, bits) if bit]
     return Graph.from_edges(n, edges)
 
 
 def sniff_and_parse(text: str) -> tuple[Graph, list[str]]:
     """Parse either format: 'n m' header means edge list, else one graph6 line."""
-    lines = _data_lines(text)
+    lines = data_lines(text)
     if not lines:
         raise GraphInputError("empty graph input")
     head = lines[0].split()

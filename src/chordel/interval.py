@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .graph import Graph, GraphInputError, VertexSet, induced_subgraph, vset
+from .graphio import data_lines
 from .recognition import CLUSTER, COMPLETE_SPLIT, recognize
 
 
@@ -82,10 +83,7 @@ def model_to_graph(m: IntervalModel) -> Graph:
 def parse_interval_model(text: str) -> tuple[IntervalModel, list[str]]:
     """One vertex per line: "label l r", integer or rational endpoints."""
     rows = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line in data_lines(text):
         toks = line.split()
         if len(toks) != 3:
             raise GraphInputError(f"model line must be 'label l r', got {line!r}")

@@ -7,6 +7,7 @@ paths it checks.
 
 import random
 from bisect import bisect_left
+from fractions import Fraction
 from itertools import combinations, permutations
 
 import named_graphs as ng
@@ -19,7 +20,9 @@ from chordel import (
     connected_components,
     induced_subgraph,
 )
-from chordel.graph import vset
+from chordel.graph import check_vertex_cap, vset
+from chordel.graphio import _g6_size_bytes
+from chordel.interval import IntervalModel
 from chordel.recognition import (
     _PATTERNS,
     PatternTooLargeError,
@@ -773,3 +776,161 @@ def gen_chordal_reference(n: int, seed: int = 0) -> Graph:
         if subtrees[i] & subtrees[j]
     ]
     return Graph.from_edges(n, edges)
+
+
+# The text readers and graph6 writer as they were before `graphio` took over
+# the data-line, id-or-label and padding rules and packed graph6 in one pass.
+# Bodies unchanged; the fuzz test holds the library to them.
+
+
+def data_lines_reference(text: str) -> list[str]:
+    out = []
+    for raw in text.splitlines():
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            out.append(line)
+    return out
+
+
+def parse_edge_lines_reference(lines: list[str]) -> tuple[Graph, list[str]]:
+    """`parse_edge_list` on text already split into data lines."""
+    if not lines:
+        raise GraphInputError("empty edge-list input")
+    head = lines[0].split()
+    if len(head) != 2:
+        raise GraphInputError(f"header must be 'n m', got {lines[0]!r}")
+    try:
+        n, m = int(head[0]), int(head[1])
+    except ValueError:
+        raise GraphInputError(f"header must be 'n m', got {lines[0]!r}") from None
+    if n < 0 or m < 0:
+        raise GraphInputError("negative n or m")
+    check_vertex_cap(n)
+    if len(lines) - 1 != m:
+        raise GraphInputError(f"expected {m} edge lines, found {len(lines) - 1}")
+
+    pairs: list[tuple[str, str]] = []
+    for line in lines[1:]:
+        toks = line.split()
+        if len(toks) != 2:
+            raise GraphInputError(f"edge line must be 'u v', got {line!r}")
+        pairs.append((toks[0], toks[1]))
+
+    tokens = {t for uv in pairs for t in uv}
+    numeric = True
+    for t in tokens:
+        try:
+            v = int(t)
+        except ValueError:
+            numeric = False
+            break
+        if not 0 <= v < n or str(v) != t:  # "01" or "+1" is a label
+            numeric = False
+            break
+
+    if numeric:
+        labels = [str(i) for i in range(n)]
+        ix = {str(i): i for i in range(n)}
+    else:
+        named = sorted(tokens)
+        if len(named) > n:
+            raise GraphInputError(f"{len(named)} labels but n = {n}")
+        labels = named + [f"_v{i}" for i in range(len(named), n)]
+        ix = {lab: i for i, lab in enumerate(named)}
+
+    edges = []
+    for a, b in pairs:
+        if a == b:
+            raise GraphInputError(f"self-loop {a!r}")
+        edges.append((ix[a], ix[b]))
+    g = Graph.from_edges(n, edges)
+    if g.m < m:  # some edge is listed twice: name its second listing
+        seen: set[frozenset[int]] = set()
+        for (a, b), e in zip(pairs, edges):
+            if frozenset(e) in seen:
+                raise GraphInputError(f"repeated edge {a!r} {b!r}")
+            seen.add(frozenset(e))
+    return g, labels
+
+
+def to_graph6_reference(g: Graph) -> str:
+    bits = []
+    for j in range(1, g.n):
+        for i in range(j):
+            bits.append(1 if g.has_edge(i, j) else 0)
+    while len(bits) % 6:
+        bits.append(0)
+    data = []
+    for k in range(0, len(bits), 6):
+        x = 0
+        for b in bits[k : k + 6]:
+            x = (x << 1) | b
+        data.append(x + 63)
+    return "".join(chr(c) for c in _g6_size_bytes(g.n) + data)
+
+
+def from_graph6_reference(line: str) -> Graph:
+    s = line.strip()
+    if s.startswith(">>graph6<<"):
+        s = s[len(">>graph6<<") :]
+    if not s:
+        raise GraphInputError("empty graph6 string")
+    vals = []
+    for ch in s:
+        c = ord(ch)
+        if not 63 <= c <= 126:
+            raise GraphInputError(f"invalid graph6 character {ch!r}")
+        vals.append(c - 63)
+
+    if vals[0] != 63:
+        n, pos = vals[0], 1
+    elif len(vals) >= 2 and vals[1] != 63:
+        if len(vals) < 4:
+            raise GraphInputError("truncated graph6 size")
+        n = (vals[1] << 12) | (vals[2] << 6) | vals[3]
+        pos = 4
+    else:
+        if len(vals) < 8:
+            raise GraphInputError("truncated graph6 size")
+        n = 0
+        for v in vals[2:8]:
+            n = (n << 6) | v
+        pos = 8
+    check_vertex_cap(n)
+
+    need = (n * (n - 1) // 2 + 5) // 6
+    if len(vals) - pos != need:
+        raise GraphInputError(f"graph6 body has {len(vals) - pos} bytes, expected {need}")
+    bits = []
+    for v in vals[pos:]:
+        for s6 in range(5, -1, -1):
+            bits.append((v >> s6) & 1)
+
+    edges = []
+    k = 0
+    for j in range(1, n):
+        for i in range(j):
+            if bits[k]:
+                edges.append((i, j))
+            k += 1
+    return Graph.from_edges(n, edges)
+
+
+def parse_interval_model_reference(text: str) -> tuple[IntervalModel, list[str]]:
+    """One vertex per line: "label l r", integer or rational endpoints."""
+    rows = []
+    for raw in text.splitlines():
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        toks = line.split()
+        if len(toks) != 3:
+            raise GraphInputError(f"model line must be 'label l r', got {line!r}")
+        try:
+            rows.append((toks[0], Fraction(toks[1]), Fraction(toks[2])))
+        except (ValueError, ZeroDivisionError):
+            raise GraphInputError(f"bad endpoint in {line!r}") from None
+    labels = [lab for lab, _, _ in rows]
+    if len(set(labels)) != len(labels):
+        raise GraphInputError("duplicate vertex labels in model")
+    return IntervalModel(tuple((l, r) for _, l, r in rows)), labels

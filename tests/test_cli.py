@@ -300,6 +300,38 @@ def test_padded_ids_are_labels(tmp_path, capsys):
     assert recs[0]["m"] == 2
 
 
+def test_padding_labels_never_repeat_an_input_label(tmp_path, capsys):
+    assert parse_edge_list("3 1\n_v2 a\n")[1] == ["_v2", "a", "__v2"]
+    named = tmp_path / "named.el"
+    named.write_text("3 1\n_v2 a\n")
+    code, recs = run_records(capsys, ["recognize", "--class", "split", str(named)])
+    assert code == 0
+    assert sorted(recs[0]["clique"] + recs[0]["independent"]) == ["__v2", "_v2", "a"]
+
+
+def test_reduce_image_reads_back_when_an_input_label_looks_like_padding(tmp_path, capsys):
+    source, image = tmp_path / "t.el", tmp_path / "image.el"
+    source.write_text("3 2\nx _g3\nx y\n")
+    argv = ["reduce", "--from", "threshold", "--to", "interval", "--output", str(image)]
+    assert main(argv + [str(source)]) == 0
+    text = image.read_text()
+    assert "_g3 _g3" not in text
+    g, labels = parse_edge_list(text)
+    written = {frozenset(line.split()) for line in text.splitlines()[3:]}
+    assert {frozenset((labels[u], labels[v])) for u, v in g.edges()} == written
+    assert len(written) == g.m == 11
+    assert main(["recognize", "--class", "interval", str(image)]) == 0
+
+
+def test_reduce_refuses_a_label_that_would_not_read_back(tmp_path, capsys):
+    source, image = tmp_path / "chain.el", tmp_path / "image.el"
+    source.write_text("3 2\na #b\na c\n")
+    argv = ["reduce", "--from", "chain", "--to", "threshold", "--output", str(image)]
+    assert main(argv + [str(source)]) == 2
+    assert "'#b'" in capsys.readouterr().err
+    assert not image.exists()
+
+
 def test_precondition_witness_uses_input_labels(tmp_path, capsys):
     c5 = tmp_path / "c5.el"
     c5.write_text("5 5\na b\nb c\nc d\nd e\ne a\n")

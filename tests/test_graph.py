@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -141,6 +142,22 @@ def test_edge_list_malformed():
     for bad in ("", "3\n", "2 1\n0 0\n", "2 2\n0 1\n", "1 0\nextra tokens here\n"):
         with pytest.raises(GraphInputError):
             parse_edge_list(bad)
+
+
+@pytest.mark.parametrize("label", ["", "a b", "a\tb", "#b", "a"])
+def test_write_edge_list_refuses_labels_that_would_not_read_back(label):
+    g = ng.double_star(1, 1)  # 4 vertices
+    with pytest.raises(GraphInputError, match=re.escape(repr(label))):
+        write_edge_list(g, ["a", "b", "c", label])
+
+
+def test_write_edge_list_keeps_writable_labels():
+    g = ng.double_star(1, 1)
+    labels = ["01", "+1", "a#", "é"]
+    back, read = parse_edge_list(write_edge_list(g, labels))
+    assert {frozenset((read[u], read[v])) for u, v in back.edges()} == {
+        frozenset((labels[u], labels[v])) for u, v in g.edges()
+    }
 
 
 def test_graph6_roundtrip_small():
