@@ -101,7 +101,12 @@ def parse_class_label(text: str) -> ClassLabel:
     if text in BASE_LABELS:
         return BASE_LABELS[text]
     if text.startswith("kp:"):
-        return kp_free(int(text.split(":", 1)[1]))
+        try:
+            p = int(text[3:])
+        except ValueError:
+            error = f"class label {text!r}: p in kp:<p> must be an integer"
+            raise GraphInputError(error) from None
+        return kp_free(p)
     if text.startswith("f-free:"):
         g, _ = _load_graph(text.split(":", 1)[1])
         return f_free(g)

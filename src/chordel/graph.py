@@ -6,6 +6,7 @@ iteration is in ascending vertex id so downstream solvers are reproducible.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, TYPE_CHECKING
 
@@ -138,25 +139,37 @@ def complement(g: Graph) -> Graph:
     return Graph(g.n, adj)
 
 
-def connected_components(g: Graph) -> list[VertexSet]:
-    """Partition into maximal connected vertex sets, each ascending."""
-    seen = [False] * g.n
-    comps: list[VertexSet] = []
-    for start in g.vertices():
-        if seen[start]:
+def rooted_forest(roots, nbrs) -> tuple[dict, dict, dict]:
+    """Breadth-first forest over `nbrs[node]`, grown from each of `roots` not
+    yet reached, in order: the parent (None at a root), depth and child count
+    of every node reached.  The parent map lists each tree in visiting order,
+    root first."""
+    parent: dict = {}
+    depth: dict = {}
+    kids: dict = {}
+    for root in roots:
+        if root in parent:
             continue
-        stack = [start]
-        seen[start] = True
-        comp = []
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for u in g.adj[v]:
-                if not seen[u]:
-                    seen[u] = True
-                    stack.append(u)
-        comps.append(vset(comp))
-    return comps
+        parent[root], depth[root], kids[root] = None, 0, 0
+        queue = [root]
+        for node in queue:  # the list grows while it is walked: a FIFO queue
+            for nxt in nbrs[node]:
+                if nxt not in parent:
+                    parent[nxt], depth[nxt], kids[nxt] = node, depth[node] + 1, 0
+                    kids[node] += 1
+                    queue.append(nxt)
+    return parent, depth, kids
+
+
+def connected_components(g: Graph) -> list[VertexSet]:
+    """Partition into maximal connected vertex sets, each ascending: the trees
+    of the breadth-first forest rooted at each least unreached vertex."""
+    trees: list[list[int]] = []
+    for v, p in rooted_forest(g.vertices(), g.adj)[0].items():
+        if p is None:
+            trees.append([])
+        trees[-1].append(v)
+    return [vset(tree) for tree in trees]
 
 
 def is_clique(g: Graph, s: Iterable[int]) -> bool:
@@ -216,17 +229,19 @@ class BlockCutTree:
 
 
 def build_block_cut_tree(g: Graph) -> BlockCutTree:
-    """Biconnected components by the classic lowpoint DFS, iterative form.
+    """Biconnected components by the classic lowpoint DFS, iterative form: a
+    stack of (vertex, parent, its place in `pending`, iterator over its sorted
+    neighbours).  `pending` lists the vertices discovered but not yet in a
+    block; a child v with low[v] >= disc[parent] closes v's part of it.
 
     Isolated vertices become singleton blocks so every vertex lives in at
-    least one block.
+    least one block; the cut vertices are those in more than one block.
     """
     disc = [-1] * g.n
     low = [0] * g.n
     timer = 0
     blocks: list[VertexSet] = []
-    cuts: set[int] = set()
-    estack: list[tuple[int, int]] = []
+    pending: list[int] = []
 
     for root in g.vertices():
         if disc[root] != -1:
@@ -234,50 +249,29 @@ def build_block_cut_tree(g: Graph) -> BlockCutTree:
         if not g.adj[root]:
             blocks.append((root,))
             continue
-        root_children = 0
         disc[root] = low[root] = timer
         timer += 1
-        frames: list[tuple[int, int, list[int], int]] = [(root, -1, sorted(g.adj[root]), 0)]
-        while frames:
-            v, parent, nbrs, idx = frames[-1]
-            pushed = False
-            while idx < len(nbrs):
-                w = nbrs[idx]
-                idx += 1
-                if w == parent:
-                    continue
+        stack = [(root, -1, 0, iter(sorted(g.adj[root])))]
+        while stack:
+            v, parent, _, rest = stack[-1]
+            for w in rest:
                 if disc[w] == -1:
-                    estack.append((v, w))
                     disc[w] = low[w] = timer
                     timer += 1
-                    if v == root:
-                        root_children += 1
-                    frames[-1] = (v, parent, nbrs, idx)
-                    frames.append((w, v, sorted(g.adj[w]), 0))
-                    pushed = True
+                    stack.append((w, v, len(pending), iter(sorted(g.adj[w]))))
+                    pending.append(w)
                     break
-                if disc[w] < disc[v]:
-                    estack.append((v, w))
+                if w != parent:
                     low[v] = min(low[v], disc[w])
-            if pushed:
-                continue
-            frames.pop()
-            if frames:
-                pv = frames[-1][0]
-                low[pv] = min(low[pv], low[v])
-                if low[v] >= disc[pv]:
-                    comp: set[int] = set()
-                    while True:
-                        e = estack.pop()
-                        comp.update(e)
-                        if e == (pv, v):
-                            break
-                    blocks.append(vset(comp))
-                    if pv != root:
-                        cuts.add(pv)
-        if root_children > 1:
-            cuts.add(root)
+            else:
+                _, pv, at, _ = stack.pop()
+                if stack:
+                    low[pv] = min(low[pv], low[v])
+                    if low[v] >= disc[pv]:
+                        blocks.append(vset([pv, *pending[at:]]))
+                        del pending[at:]
 
+    cuts = {v for v, k in Counter(v for blk in blocks for v in blk).items() if k > 1}
     edges = tuple(
         (bi, v) for bi, blk in enumerate(blocks) for v in blk if v in cuts
     )

@@ -81,13 +81,16 @@ def model_to_graph(m: IntervalModel) -> Graph:
 
 
 def parse_interval_model(text: str) -> tuple[IntervalModel, list[str]]:
-    """One vertex per line: "label l r", integer or rational endpoints."""
+    """One vertex per line: "label l r", integer or rational endpoints; an
+    exponent ("1e9") is refused."""
     rows = []
     for line in data_lines(text):
         toks = line.split()
         if len(toks) != 3:
             raise GraphInputError(f"model line must be 'label l r', got {line!r}")
         try:
+            if "e" in (toks[1] + toks[2]).lower():  # 1e99999999 builds 10**99999999
+                raise ValueError
             rows.append((toks[0], Fraction(toks[1]), Fraction(toks[2])))
         except (ValueError, ZeroDivisionError):
             raise GraphInputError(f"bad endpoint in {line!r}") from None

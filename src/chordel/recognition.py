@@ -171,29 +171,28 @@ def _find_embedding(g: Graph, f: Graph) -> VertexSet | None:
 def find_clique_of_size(g: Graph, p: int) -> VertexSet | None:
     """Lexicographically least clique on p vertices, or None.
 
-    Depth-first over common neighbourhoods with an explicit stack, so a
-    clique deeper than the recursion limit is still found.
+    Depth-first over common neighbourhoods with an explicit stack of
+    (candidates, enumeration of them), so a clique deeper than the recursion
+    limit is still found.
     """
     if p == 0:
         return ()
     current: list[int] = []
-    frames = [[list(g.vertices()), 0]]  # candidates and next index, per level
-    while frames:
-        frame = frames[-1]
-        common, i = frame
-        if i == len(common):
-            frames.pop()
+    everyone = list(g.vertices())
+    stack = [(everyone, enumerate(everyone))]
+    while stack:
+        common, rest = stack[-1]
+        for i, v in rest:
+            nxt = [u for u in common[i + 1 :] if u in g.adj[v]]
+            if len(nxt) + len(current) + 1 >= p:
+                current.append(v)
+                if len(current) == p:
+                    return tuple(current)
+                stack.append((nxt, enumerate(nxt)))
+                break
+        else:
+            stack.pop()
             del current[-1:]
-            continue
-        frame[1] = i + 1
-        v = common[i]
-        nxt = [u for u in common[i + 1 :] if g.has_edge(u, v)]
-        if len(nxt) + len(current) + 1 < p:
-            continue
-        current.append(v)
-        if len(current) == p:
-            return tuple(current)
-        frames.append([nxt, 0])
     return None
 
 

@@ -2,13 +2,15 @@
 
 tree->cluster and block->cluster peel the deepest leaf of a rooted forest,
 the forest itself or the block-cut tree of what is left, each rooted by the
-one breadth-first walk `_rooted`; chordal->co-chain picks the best pair of
-maximal cliques; chordal->K2-free keeps the perfect-elimination greedy's
-maximum independent set.  `_verified` checks every deletion set with the
-recognizer.
+one breadth-first walk `graph.rooted_forest`; chordal->co-chain picks the
+best pair of maximal cliques; chordal->K2-free keeps the perfect-elimination
+greedy's maximum independent set.  `_verified` checks every deletion set
+with the recognizer.
 """
 
 from __future__ import annotations
+
+from collections import defaultdict
 
 from .graph import (
     DeletionResult,
@@ -18,6 +20,7 @@ from .graph import (
     connected_components,
     delete_vertices,
     induced_subgraph,
+    rooted_forest,
     vset,
 )
 from .recognition import (
@@ -38,27 +41,6 @@ def _verified(g: Graph, deleted: VertexSet, label, method: str) -> DeletionResul
     return DeletionResult(deleted, label, method)
 
 
-def _rooted(roots, nbrs: dict) -> tuple[dict, dict, dict]:
-    """Breadth-first forest over `nbrs`, grown from each of `roots` not yet
-    reached, in order: the parent (None at a root), depth and child count of
-    every node reached."""
-    parent: dict = {}
-    depth: dict = {}
-    kids: dict = {}
-    for root in roots:
-        if root in parent:
-            continue
-        parent[root], depth[root], kids[root] = None, 0, 0
-        queue = [root]
-        for node in queue:  # the list grows while it is walked: a FIFO queue
-            for nxt in nbrs.get(node, ()):
-                if nxt not in parent:
-                    parent[nxt], depth[nxt], kids[nxt] = node, depth[node] + 1, 0
-                    kids[node] += 1
-                    queue.append(nxt)
-    return parent, depth, kids
-
-
 def delete_to_cluster_tree(g: Graph) -> DeletionResult:
     """Minimum deletion set turning a forest into a cluster graph.
 
@@ -73,7 +55,7 @@ def delete_to_cluster_tree(g: Graph) -> DeletionResult:
     adj = {v: set(g.adj[v]) for v in g.vertices()}
     deleted: list[int] = []
     while True:
-        parent, depth, kids = _rooted(sorted(adj), adj)
+        parent, depth, kids = rooted_forest(sorted(adj), adj)
         leaves = [  # the leaves of components with three or more vertices
             v
             for v, p in parent.items()
@@ -108,12 +90,12 @@ def delete_to_cluster_block(g: Graph) -> DeletionResult:
         blocks = bct.blocks
 
         # Rooted forest over block nodes ('b', i) and cut nodes ('c', v).
-        nbrs: dict[tuple[str, int], list[tuple[str, int]]] = {}
+        nbrs = defaultdict(list)
         for bi, v in bct.edges:
-            nbrs.setdefault(("b", bi), []).append(("c", v))
-            nbrs.setdefault(("c", v), []).append(("b", bi))
+            nbrs[("b", bi)].append(("c", v))
+            nbrs[("c", v)].append(("b", bi))
         roots = sorted(range(len(blocks)), key=blocks.__getitem__)
-        parent, depth, kids = _rooted([("b", bi) for bi in roots], nbrs)
+        parent, depth, kids = rooted_forest([("b", bi) for bi in roots], nbrs)
         leaves = [
             node
             for node in parent

@@ -16,11 +16,9 @@ from chordel import (
     Graph,
     GraphInputError,
     SplitPartition,
-    build_block_cut_tree,
-    connected_components,
     induced_subgraph,
 )
-from chordel.graph import check_vertex_cap, vset
+from chordel.graph import BlockCutTree, VertexSet, check_vertex_cap, vset
 from chordel.graphio import _g6_size_bytes
 from chordel.interval import IntervalModel
 from chordel.recognition import (
@@ -429,6 +427,131 @@ def remove_clique_edges(g: Graph, part: SplitPartition) -> tuple:
     return stripped, Bipartition(part.clique, part.independent)
 
 
+# The graph walks as they were before `graph.rooted_forest` and the stacks of
+# iterators: the depth-first component search, the block-cut tree's frame
+# tuples and the clique search's [list, index] frames.  Bodies unchanged;
+# the walk tests and `block_cluster_deleted` hold the library to them.
+
+
+def connected_components_reference(g: Graph) -> list[VertexSet]:
+    """Partition into maximal connected vertex sets, each ascending."""
+    seen = [False] * g.n
+    comps: list[VertexSet] = []
+    for start in g.vertices():
+        if seen[start]:
+            continue
+        stack = [start]
+        seen[start] = True
+        comp = []
+        while stack:
+            v = stack.pop()
+            comp.append(v)
+            for u in g.adj[v]:
+                if not seen[u]:
+                    seen[u] = True
+                    stack.append(u)
+        comps.append(vset(comp))
+    return comps
+
+
+def build_block_cut_tree_reference(g: Graph) -> BlockCutTree:
+    """Biconnected components by the classic lowpoint DFS, iterative form.
+
+    Isolated vertices become singleton blocks so every vertex lives in at
+    least one block.
+    """
+    disc = [-1] * g.n
+    low = [0] * g.n
+    timer = 0
+    blocks: list[VertexSet] = []
+    cuts: set[int] = set()
+    estack: list[tuple[int, int]] = []
+
+    for root in g.vertices():
+        if disc[root] != -1:
+            continue
+        if not g.adj[root]:
+            blocks.append((root,))
+            continue
+        root_children = 0
+        disc[root] = low[root] = timer
+        timer += 1
+        frames: list[tuple[int, int, list[int], int]] = [(root, -1, sorted(g.adj[root]), 0)]
+        while frames:
+            v, parent, nbrs, idx = frames[-1]
+            pushed = False
+            while idx < len(nbrs):
+                w = nbrs[idx]
+                idx += 1
+                if w == parent:
+                    continue
+                if disc[w] == -1:
+                    estack.append((v, w))
+                    disc[w] = low[w] = timer
+                    timer += 1
+                    if v == root:
+                        root_children += 1
+                    frames[-1] = (v, parent, nbrs, idx)
+                    frames.append((w, v, sorted(g.adj[w]), 0))
+                    pushed = True
+                    break
+                if disc[w] < disc[v]:
+                    estack.append((v, w))
+                    low[v] = min(low[v], disc[w])
+            if pushed:
+                continue
+            frames.pop()
+            if frames:
+                pv = frames[-1][0]
+                low[pv] = min(low[pv], low[v])
+                if low[v] >= disc[pv]:
+                    comp: set[int] = set()
+                    while True:
+                        e = estack.pop()
+                        comp.update(e)
+                        if e == (pv, v):
+                            break
+                    blocks.append(vset(comp))
+                    if pv != root:
+                        cuts.add(pv)
+        if root_children > 1:
+            cuts.add(root)
+
+    edges = tuple(
+        (bi, v) for bi, blk in enumerate(blocks) for v in blk if v in cuts
+    )
+    return BlockCutTree(tuple(blocks), vset(cuts), edges)
+
+
+def find_clique_of_size_reference(g: Graph, p: int) -> VertexSet | None:
+    """Lexicographically least clique on p vertices, or None.
+
+    Depth-first over common neighbourhoods with an explicit stack, so a
+    clique deeper than the recursion limit is still found.
+    """
+    if p == 0:
+        return ()
+    current: list[int] = []
+    frames = [[list(g.vertices()), 0]]  # candidates and next index, per level
+    while frames:
+        frame = frames[-1]
+        common, i = frame
+        if i == len(common):
+            frames.pop()
+            del current[-1:]
+            continue
+        frame[1] = i + 1
+        v = common[i]
+        nxt = [u for u in common[i + 1 :] if g.has_edge(u, v)]
+        if len(nxt) + len(current) + 1 < p:
+            continue
+        current.append(v)
+        if len(current) == p:
+            return tuple(current)
+        frames.append([nxt, 0])
+    return None
+
+
 def tree_cluster_deleted(g: Graph) -> tuple:
     """Reference tree -> cluster peel: every round re-roots each component
     at its least vertex by its own breadth-first search and deletes the
@@ -478,12 +601,12 @@ def block_cluster_deleted(g: Graph) -> tuple:
         cur, old2new = induced_subgraph(g, alive)
         new2old = {ni: oi for oi, ni in old2new.items()}
         comps = [
-            c for c in connected_components(cur)
+            c for c in connected_components_reference(cur)
             if not all(cur.has_edge(u, v) for i, u in enumerate(c) for v in c[i + 1 :])
         ]
         if not comps:
             return tuple(sorted(deleted))
-        bct = build_block_cut_tree(cur)
+        bct = build_block_cut_tree_reference(cur)
         in_comp = {v: ci for ci, comp in enumerate(comps) for v in comp}
         nbrs = {}
         for bi, v in bct.edges:

@@ -1,6 +1,7 @@
 import io
 import json
 import re
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -109,6 +110,15 @@ def test_malformed_input_exits_2(files, capsys, tmp_path):
 
 def test_unknown_class_exits_2(files):
     assert main(["recognize", "--class", "wavy", files["p3"]]) == 2
+
+
+@pytest.mark.parametrize("klass", ["kp:abc", "kp:", "kp:2.5"])
+@pytest.mark.parametrize("command", ["recognize", "oracle"])
+def test_kp_label_without_an_integer_exits_2(command, klass, files, capsys):
+    assert main([command, "--class", klass, files["p3"]]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: class label {klass!r}: p in kp:<p> must be an integer\n"
 
 
 def test_generate_then_recognize(files, capsys, tmp_path):
@@ -229,6 +239,19 @@ def test_solve_interval_problem_with_model(capsys, tmp_path):
     )
     assert code == 0
     assert recs[0]["k"] == 1 and recs[0]["deleted"] == ["c"]
+
+
+@pytest.mark.parametrize("end", ["1e400", "2E-3", "1e99999999"])
+def test_exponent_endpoint_exits_2(end, capsys, tmp_path):
+    """An exponent is refused where the token is read: 1e99999999 would
+    otherwise build a 100-million-digit integer."""
+    mfile = tmp_path / "exp.iv"
+    mfile.write_text(f"a 0 {end}\nb 1 2\n")
+    start = time.perf_counter()
+    assert main(["solve", "--problem", "interval-to-cluster", "--model", str(mfile)]) == 2
+    assert time.perf_counter() - start < 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == f"error: bad endpoint in 'a 0 {end}'\n"
 
 
 def test_chordal_to_kp_p2(files, capsys):

@@ -7,7 +7,9 @@ huge ones.  Three properties are checked on every mutated file:
 
 - no exception escapes `cli.main`, and it exits 0, 1 or 2, in both formats;
 - the readers agree with the references in `bruteforce`, except that a
-  padding label no longer repeats an input label;
+  padding label no longer repeats an input label, and that an interval
+  endpoint with an exponent is refused (a model the reference reads with
+  one exits 2);
 - every file `reduce --output` or `generate --output` writes reads back to
   the labelled edge set it was written from, unless the write was refused.
 
@@ -45,7 +47,7 @@ CASES = 1500
 INJECTED = (
     "0", "00", "01", "007", "+1", "-1", "-0", "+0", "é", "٣", "ß", " x",
     "#", "#b", "#0", "_v1", "_v8", "_v9", "_v10", "__v9", "_g9", "_g10", "_g12",
-    str(MAX_VERTICES + 1), "9" * 30,
+    str(MAX_VERTICES + 1), "9" * 30, "1e400", "2E-3",
 )
 NON_UTF8 = (b"\xff", b"\xc3(", b"\x80abc")
 
@@ -176,9 +178,22 @@ def _check_graph_reader(text: str) -> None:
             assert to_graph6(got) == bf.to_graph6_reference(got)
 
 
-def _check_model_reader(text: str) -> None:
-    want = _outcome(bf.parse_interval_model_reference, text)
-    assert _outcome(parse_interval_model, text) == want
+def _exponent(line: str) -> bool:
+    toks = line.split()
+    return len(toks) == 3 and "e" in (toks[1] + toks[2]).lower()
+
+
+def _check_model_reader(text: str) -> bool:
+    """The model reader agrees with the reference, except that it refuses an
+    endpoint with an exponent; True when the reference read such a model."""
+    got, error = _outcome(parse_interval_model, text)
+    want, want_error = _outcome(bf.parse_interval_model_reference, text)
+    if not any(map(_exponent, data_lines(text))):
+        assert (got, error) == (want, want_error)
+        return False
+    assert got is None
+    assert error == want_error or error.startswith("GraphInputError: bad endpoint in ")
+    return want_error is None
 
 
 def _read_back(written: str, why) -> None:
@@ -232,7 +247,7 @@ def test_fuzzed_files_through_every_subcommand(tmp_path):
     pattern = tmp_path / "pattern.el"
     pattern.write_text("3 2\n0 1\n1 2\n")
     path, out = tmp_path / "case", tmp_path / "image.el"
-    ran = set()
+    ran, exponents = set(), 0
     for case in range(CASES):
         seed = SEED + case
         rng = random.Random(seed)
@@ -243,10 +258,11 @@ def test_fuzzed_files_through_every_subcommand(tmp_path):
             text = data.decode("utf-8")
         except UnicodeDecodeError:
             text = None
+        refused = False  # a model the reference reads, refused for an exponent
         if text is not None:
             try:
                 _check_graph_reader(text)
-                _check_model_reader(text)
+                refused = _check_model_reader(text)
             except AssertionError as exc:
                 pytest.fail(f"seed {seed}: readers differ on {text!r}: {exc}")
         cmds = _commands(kind, str(path), str(pattern), str(out))
@@ -256,12 +272,16 @@ def test_fuzzed_files_through_every_subcommand(tmp_path):
             out.unlink()
         code = _run(["--format", fmt] + argv, f"seed {seed}")
         ran.add((argv[0], fmt))
+        if refused and kind == "model":
+            exponents += 1
+            assert code == 2, f"seed {seed}: {argv} read an exponent endpoint"
         if argv[0] == "reduce" and code == 0:
             _read_back(out.read_text(encoding="utf-8"), f"seed {seed}: {argv}")
         else:
             assert not out.exists(), f"seed {seed}: {argv} exited {code} but wrote a file"
     assert ran == {(c, f) for c in ("recognize", "solve", "oracle", "reduce")
                    for f in ("text", "records")}
+    assert exponents > 0
 
 
 @pytest.mark.parametrize("fmt", ["text", "records"])

@@ -17,10 +17,19 @@ from chordel import (
     to_graph6,
     write_edge_list,
 )
+import bruteforce as bf
 from bruteforce import remove_edges
 import named_graphs as ng
-from chordel.graph import add_edges, bipartition_classes, disjoint_union
+from chordel.graph import (
+    add_edges,
+    bipartition_classes,
+    build_block_cut_tree,
+    disjoint_union,
+)
 from chordel import patterns as pat
+from chordel import randgen
+from chordel.recognition import find_clique_of_size
+from chordel.structural import list_maximal_cliques_chordal
 
 
 def random_graph(n, p, seed):
@@ -92,6 +101,46 @@ def test_connected_components():
     assert [len(c) for c in connected_components(pat.two_k2())] == [2, 2]
     assert [len(c) for c in connected_components(pat.empty_graph(3))] == [1, 1, 1]
     assert [len(c) for c in connected_components(pat.cycle_graph(4))] == [4]
+
+
+def _same_walks(g, ps) -> None:
+    assert connected_components(g) == bf.connected_components_reference(g)
+    assert build_block_cut_tree(g) == bf.build_block_cut_tree_reference(g)
+    for p in ps:
+        assert find_clique_of_size(g, p) == bf.find_clique_of_size_reference(g, p), p
+
+
+def test_walks_match_reference_on_labelled_graphs():
+    """Components (of the complement too), blocks, cut vertices and the least
+    clique of every size p = 0..n+1 equal the reference walks' on every
+    labelled graph with at most 6 vertices."""
+    for n in range(7):
+        for _, g in bf.labelled_graphs(n):
+            _same_walks(g, range(n + 2))
+            co = complement(g)
+            assert connected_components(co) == bf.connected_components_reference(co)
+
+
+SEEDED = {
+    "block": randgen.gen_block,
+    "tree": randgen.gen_tree,
+    "chordal": randgen.gen_chordal,
+    "split": lambda n, seed: randgen.gen_split(n, 0.5, seed),
+    "bipartite": lambda n, seed: randgen.gen_bipartite(n, 0.5, seed)[0],
+}
+
+
+@pytest.mark.parametrize("name", SEEDED)
+def test_walks_match_reference_on_seeded_graphs(name):
+    """The same on seeded graphs at n = 16-256, for p up to the clique number
+    (3 on bipartite graphs) and p = n + 1.  On the chordal families p = ω + 1
+    is left out: refuting it on a dense chordal graph is exponential."""
+    for n in (16, 64, 256):
+        for seed in range(3):
+            g = SEEDED[name](n, seed)
+            chordal = name != "bipartite"
+            top = max(map(len, list_maximal_cliques_chordal(g))) if chordal else 3
+            _same_walks(g, [*range(top + 1), n + 1])
 
 
 def test_clique_independent_checks():
