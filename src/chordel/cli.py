@@ -145,9 +145,8 @@ def _cmd_recognize(args, fmt: str) -> int:
             report["witness"] = _labelled(verdict.witness, labels)
             report["witness_name"] = verdict.witness_name
         elif label.name == "split":
-            part = split_partition(g)
-            report["clique"] = _labelled(part.clique, labels)
-            report["independent"] = _labelled(part.independent, labels)
+            report["clique"] = _labelled(verdict.partition.clique, labels)
+            report["independent"] = _labelled(verdict.partition.independent, labels)
         _emit(report, fmt)
     return EXIT_OK
 

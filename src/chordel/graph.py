@@ -33,6 +33,11 @@ def vset(vertices: Iterable[int]) -> VertexSet:
     return tuple(sorted(set(vertices)))
 
 
+def mask(vertices: Iterable[int]) -> int:
+    """The int with bit v set for each of `vertices`."""
+    return sum(map((1).__lshift__, vertices))
+
+
 @dataclass(frozen=True)
 class Graph:
     """Adjacency-set representation of an undirected simple graph.

@@ -6,7 +6,9 @@ that can be re-checked independently.  Interval graphs are recognized as
 chordal plus asteroidal-triple-free, unit interval additionally claw-free,
 and the remaining classes through their finite obstruction sets.  Each base
 class's obstructions are listed once, in `_OBSTRUCTIONS`, and `recognize` is
-the only place that turns them into a rejecting `Verdict`.
+the only place that turns them into a rejecting `Verdict`.  `require`, the one
+precondition helper, raises with that obstruction or returns the member's
+verdict, with the split partition or PEO that its test built.
 
 Split, threshold, trivially perfect, cluster, complete split, co-chain,
 block and 2K2/P3-free graphs are accepted by a near-linear certificate
@@ -20,7 +22,7 @@ the search order of adjacency sets, so the witnesses are the same.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable
 
@@ -33,6 +35,7 @@ from .graph import (
     complement,
     is_clique,
     is_independent,
+    mask,
     vset,
 )
 
@@ -103,25 +106,24 @@ def f_free(pattern: Graph) -> ClassLabel:
 
 
 @dataclass(frozen=True)
-class Verdict:
-    member: bool
-    witness: tuple[int, ...] | None = None
-    witness_name: str | None = None
-
-
-@dataclass(frozen=True)
 class SplitPartition:
     clique: VertexSet
     independent: VertexSet
 
 
+@dataclass(frozen=True)
+class Verdict:
+    """A member's verdict carries the split partition and PEO its test built."""
+
+    member: bool
+    witness: tuple[int, ...] | None = None
+    witness_name: str | None = None
+    partition: SplitPartition | None = field(default=None, compare=False)
+    peo: tuple[int, ...] | None = field(default=None, compare=False)
+
+
 # ---------------------------------------------------------------------------
 # induced-pattern search
-
-
-def _mask(vertices: Iterable[int]) -> int:
-    """The int with bit v set for each of `vertices`."""
-    return sum(map((1).__lshift__, vertices))
 
 
 @lru_cache(maxsize=64)
@@ -144,7 +146,7 @@ def _find_embedding(g: Graph, f: Graph) -> VertexSet | None:
     need, wants = _search_plan(f)
     # per depth, the mask of the g vertices of large enough degree; only the
     # placed vertices get a neighbourhood mask, as a search often ends early
-    fit = {d: _mask(w for w in g.vertices() if len(g.adj[w]) >= d) for d in set(need)}
+    fit = {d: mask(w for w in g.vertices() if len(g.adj[w]) >= d) for d in set(need)}
     fits, masks, chosen = [fit[d] for d in need], [0] * g.n, []
 
     def extend(k: int, used: int) -> VertexSet | None:
@@ -156,7 +158,7 @@ def _find_embedding(g: Graph, f: Graph) -> VertexSet | None:
         while cands:  # lowest id first
             low = cands & -cands
             w = low.bit_length() - 1
-            masks[w] = masks[w] or _mask(g.adj[w])
+            masks[w] = masks[w] or mask(g.adj[w])
             chosen.append(w)
             hit = extend(k + 1, used | low)
             if hit is not None:
@@ -203,7 +205,7 @@ def find_clique_of_size(g: Graph, p: int) -> VertexSet | None:
 def maximum_cardinality_search(g: Graph) -> list[int]:
     """MCS visit order; its reverse is a PEO exactly when g is chordal.  Each
     step takes the least vertex of `buckets[top]`, the top weight's mask."""
-    masks, buckets = list(map(_mask, g.adj)), [(1 << g.n) - 1] + [0] * g.n
+    masks, buckets = list(map(mask, g.adj)), [(1 << g.n) - 1] + [0] * g.n
     top, left, order = 0, buckets[0], []
     for _ in range(g.n):
         while not buckets[top]:
@@ -327,7 +329,7 @@ def enumerate_split_partitions(g: Graph) -> list[SplitPartition]:
     the base clique C and at most one vertex b into it: b must see all of C
     but a, and a must see nothing of the independent side I but b.
     """
-    base = require_split(g)
+    base = require(g, SPLIT).partition
     c_set, i_set = set(base.clique), set(base.independent)
     # a's neighbours in I and b's non-neighbours in C, kept where at most one
     leaves = {a: g.adj[a] & i_set for a in c_set if g.degree(a) <= len(c_set)}
@@ -349,7 +351,7 @@ def find_asteroidal_triple(g: Graph) -> tuple[int, int, int] | None:
     """First vertex triple whose members pairwise connect while avoiding the
     closed neighborhood of the third, in ascending order, or None.  `comp[z][v]`
     masks the component of G - N[z] holding v, 0 when v is in N[z]."""
-    masks, bits = list(map(_mask, g.adj)), [1 << v for v in g.vertices()]
+    masks, bits = list(map(mask, g.adj)), [1 << v for v in g.vertices()]
     comp: list[list[int]] = []
     for z in g.vertices():
         rest = ((1 << g.n) - 1) & ~(masks[z] | bits[z])
@@ -513,14 +515,14 @@ def _certified(g: Graph, name: str, known: dict) -> bool | None:
     return None
 
 
-def recognize(g: Graph, label: ClassLabel, known: dict | None = None) -> Verdict:
+def recognize(g: Graph, label: ClassLabel) -> Verdict:
     """True iff g belongs to the class; otherwise a concrete obstruction.
 
     A base class tries its `_certified` test first and searches its
     `_OBSTRUCTIONS` only when that rejects, so an obstruction must turn up,
-    or when the class has no certificate.  `known` collects the split
-    partition, PEO and complement bipartition computed on the way (see
-    `_fact`), so a caller can read them back instead of computing them again.
+    or when the class has no certificate.  A member's verdict carries the
+    split partition and PEO computed on the way (see `_fact`), so a caller
+    can read them back instead of computing them again.
     """
     name = label.name
     if name == "kp":
@@ -533,32 +535,22 @@ def recognize(g: Graph, label: ClassLabel, known: dict | None = None) -> Verdict
         return Verdict(False, hit, "pattern") if hit is not None else Verdict(True)
     if name not in _OBSTRUCTIONS:
         raise ValueError(f"unknown class label {name!r}")
-    known = {} if known is None else known
+    known: dict = {}
     certified = _certified(g, name, known)
-    if certified:
-        return Verdict(True)
-    verdict = _first_obstruction(g, _OBSTRUCTIONS[name], known)
-    if verdict.member and certified is False:
-        raise AssertionError(f"{name} certificate rejected but no obstruction found")
-    return verdict
+    if not certified:
+        verdict = _first_obstruction(g, _OBSTRUCTIONS[name], known)
+        if not verdict.member:
+            return verdict
+        if certified is False:
+            raise AssertionError(f"{name} certificate rejected but no obstruction found")
+    return Verdict(True, partition=known.get("split"), peo=known.get("peo"))
 
 
-def require(g: Graph, label: ClassLabel, known: dict | None = None) -> None:
-    """Raise `NotInClassError` with the obstruction unless g is in the class."""
-    verdict = recognize(g, label, known)
+def require(g: Graph, label: ClassLabel) -> Verdict:
+    """`recognize`'s verdict on a member, whose `partition` (split,
+    threshold) or `peo` (chordal, interval, unit interval) a solver can start
+    from; `NotInClassError` with the obstruction otherwise."""
+    verdict = recognize(g, label)
     if not verdict.member:
         raise NotInClassError(label.spelling, verdict.witness, verdict.witness_name)
-
-
-def require_split(g: Graph) -> SplitPartition:
-    """The degree-test split partition, or `NotInClassError` with the obstruction."""
-    known: dict = {}
-    require(g, SPLIT, known)
-    return known["split"]
-
-
-def require_chordal(g: Graph) -> tuple[int, ...]:
-    """A perfect elimination ordering, or `NotInClassError` with a hole."""
-    known: dict = {}
-    require(g, CHORDAL, known)
-    return known["peo"]
+    return verdict

@@ -33,7 +33,6 @@ from .recognition import (
     nested_by_degree,
     recognize,
     require,
-    require_split,
 )
 
 
@@ -107,9 +106,8 @@ def _threshold_partition(g: Graph, part: SplitPartition | None) -> SplitPartitio
     either way g must be threshold, else `NotInClassError`."""
     if part is not None and not is_valid_split_partition(g, part):
         raise GraphInputError("invalid split partition")
-    known: dict = {}
-    require(g, THRESHOLD, known)  # the threshold certificate leaves a split partition
-    return known["split"] if part is None else part
+    checked = require(g, THRESHOLD).partition  # run for a given one too: it shows only split
+    return checked if part is None else part
 
 
 def threshold_interval_model(g: Graph, part: SplitPartition | None = None) -> IntervalModel:
@@ -176,7 +174,7 @@ def reduce_threshold_to_interval(g: Graph) -> Graph:
     budgets below |C|, threshold deletion on g and interval deletion on H
     have the same answer.
     """
-    part = require_split(g)
+    part = require(g, SPLIT).partition
     c = len(part.clique)
     gadget = complete_split_pattern(c, c)
     return bowtie(g, part.clique, gadget, tuple(range(c)))

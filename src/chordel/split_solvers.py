@@ -29,17 +29,19 @@ from .graph import (
     VertexSet,
     complement,
     delete_vertices,
+    mask,
     vset,
 )
 from .matching import cover_from_adjacency
 from .recognition import (
     CLUSTER,
     COMPLETE_SPLIT,
+    SPLIT,
     TWO_K2_P3_FREE,
     UNIT_INTERVAL,
     enumerate_split_partitions,
     recognize,
-    require_split,
+    require,
     split_partition,
 )
 
@@ -72,12 +74,12 @@ def _candidates(g: Graph, cliq, indep, pairs: bool, found: list, forced=frozense
     """Append forced ∪ F ∪ cover(C − F, I − S) to `found`, and return it, for
     each move (F, S) whose lower bound is not above the best set so far."""
     cset, iset = frozenset(cliq), frozenset(indep)
-    bits = {u: sum(map((1).__lshift__, g.adj[u] & iset)) for u in cset}
-    every = sum(map((1).__lshift__, iset))
+    bits = {u: mask(g.adj[u] & iset) for u in cset}
+    every = mask(iset)
     best = min(map(len, found), default=g.n)
     for f, s in _moves(g, cliq, indep, pairs):
         bound, lefts = len(forced) + len(f), cset - f
-        free = every - sum(map((1).__lshift__, s))
+        free = every - mask(s)
         for u in lefts:  # a greedy maximal matching of the cross edges left
             if bound > best:
                 break
@@ -111,19 +113,20 @@ def _min_2k2p3(g: Graph, part) -> VertexSet:
 
 def delete_to_2k2p3(g: Graph) -> DeletionResult:
     """Minimum deletion set making a split graph {2K2, P3}-free."""
-    return _verified(g, _min_2k2p3(g, require_split(g)), TWO_K2_P3_FREE, "split-to-2k2p3")
+    part = require(g, SPLIT).partition
+    return _verified(g, _min_2k2p3(g, part), TWO_K2_P3_FREE, "split-to-2k2p3")
 
 
 def delete_to_cluster_split(g: Graph) -> DeletionResult:
     """Same deletion set as the {2K2, P3}-free solver: a split cluster graph
     is exactly a {2K2, P3}-free graph."""
-    return _verified(g, _min_2k2p3(g, require_split(g)), CLUSTER, "split-to-cluster")
+    return _verified(g, _min_2k2p3(g, require(g, SPLIT).partition), CLUSTER, "split-to-cluster")
 
 
 def delete_to_complete_split(g: Graph) -> DeletionResult:
     """Solve on the complement: complete split is the complement class of
     {2K2, P3}-free, and split graphs are self-complementary."""
-    require_split(g)
+    require(g, SPLIT)
     co = complement(g)
     deleted = _min_2k2p3(co, split_partition(co))
     return _verified(g, deleted, COMPLETE_SPLIT, "split-to-complete-split")
@@ -139,7 +142,7 @@ def delete_to_unit_interval_split(g: Graph) -> DeletionResult:
     best candidate over all runs wins.
     """
     if _is_degenerate(g):  # an edgeless graph has n + 1 split partitions
-        return DeletionResult((), UNIT_INTERVAL, "split-to-unit-interval")
+        return _verified(g, (), UNIT_INTERVAL, "split-to-unit-interval")
     found: list[VertexSet] = []
     for part in enumerate_split_partitions(g):
         cliq, indep = part.clique, part.independent

@@ -4,8 +4,9 @@ tree->cluster and block->cluster peel the deepest leaf of a rooted forest,
 the forest itself or the block-cut tree of what is left, each rooted by the
 one breadth-first walk `graph.rooted_forest`; chordal->co-chain picks the
 best pair of maximal cliques; chordal->K2-free keeps the perfect-elimination
-greedy's maximum independent set.  `_verified` checks every deletion set
-with the recognizer.
+greedy's maximum independent set.  The chordal solvers run on the PEO that
+recognition built, `require(g, CHORDAL).peo`.  `_verified` checks every
+deletion set with the recognizer.
 """
 
 from __future__ import annotations
@@ -20,17 +21,18 @@ from .graph import (
     connected_components,
     delete_vertices,
     induced_subgraph,
+    mask,
     rooted_forest,
     vset,
 )
 from .recognition import (
     BLOCK,
+    CHORDAL,
     CLUSTER,
     CO_CHAIN,
     kp_free,
     recognize,
     require,
-    require_chordal,
 )
 
 
@@ -50,7 +52,7 @@ def delete_to_cluster_tree(g: Graph) -> DeletionResult:
     cliques (at most two vertices) are left alone.
     """
     if g.m != g.n - len(connected_components(g)):  # a cycle: a hole, or else a triangle
-        require_chordal(g)
+        require(g, CHORDAL)
         require(g, kp_free(3))
     adj = {v: set(g.adj[v]) for v in g.vertices()}
     deleted: list[int] = []
@@ -119,7 +121,7 @@ def list_maximal_cliques_chordal(g: Graph) -> list[VertexSet]:
     """All maximal cliques via the elimination ordering; at most n of them.
     C(v) = {v} ∪ later(v) is not maximal exactly when some u has v as its first
     later neighbour and |later(u)| = |later(v)| + 1 (Blair-Peyton 1993)."""
-    order = require_chordal(g)
+    order = require(g, CHORDAL).peo
     pos = {v: i for i, v in enumerate(order)}
     later = {v: [u for u in g.adj[v] if pos[u] > pos[v]] for v in order}
     first = {u: min(later[u], key=pos.__getitem__) for u in order if later[u]}
@@ -133,7 +135,7 @@ def list_maximal_cliques_chordal(g: Graph) -> list[VertexSet]:
 def delete_to_cochain_chordal(g: Graph) -> DeletionResult:
     """Keep the best union of two maximal cliques (possibly the same one)."""
     cliques = list_maximal_cliques_chordal(g)
-    masks = [sum(map((1).__lshift__, c)) for c in cliques]
+    masks = list(map(mask, cliques))
     everything = set(g.vertices())
     best = vset(everything)  # any clique pair beats deleting everything when n > 0
     for i, a in enumerate(masks):
@@ -149,7 +151,7 @@ def max_independent_set_chordal(g: Graph) -> VertexSet:
     """Maximum independent set: greedy scan of a perfect elimination order."""
     taken: list[int] = []
     banned: set[int] = set()
-    for v in require_chordal(g):
+    for v in require(g, CHORDAL).peo:
         if v not in banned:
             taken.append(v)
             banned.update(g.adj[v])

@@ -23,6 +23,7 @@ from chordel.graphio import _g6_size_bytes
 from chordel.interval import IntervalModel
 from chordel.recognition import (
     _PATTERNS,
+    CHORDAL,
     PatternTooLargeError,
     Verdict,
     _find_embedding,
@@ -30,7 +31,7 @@ from chordel.recognition import (
     find_asteroidal_triple,
     find_hole,
     is_valid_split_partition,
-    require_chordal,
+    require,
     split_partition,
 )
 from chordel.split_solvers import _cross_cover
@@ -650,7 +651,7 @@ def block_cluster_deleted(g: Graph) -> tuple:
 def maximal_cliques_chordal(g: Graph) -> list:
     """Reference maximal-clique list: every C(v) = {v} ∪ later(v) of the
     elimination ordering, kept unless another one strictly contains it."""
-    order = require_chordal(g)
+    order = require(g, CHORDAL).peo
     pos = {v: i for i, v in enumerate(order)}
     cands = sorted(
         {vset({v} | {u for u in g.adj[v] if pos[u] > pos[v]}) for v in order}

@@ -44,6 +44,21 @@ def test_recognize_split_prints_partition(files, capsys):
     assert rec["independent"] == ["v1", "v2", "v3"]
 
 
+def test_recognize_split_computes_the_partition_once(files, capsys, monkeypatch):
+    from chordel import cli, recognition
+
+    calls = []
+    for module in (recognition, cli):
+        def counted(g, _real=module.split_partition):
+            calls.append(g.n)
+            return _real(g)
+
+        monkeypatch.setattr(module, "split_partition", counted)
+    code, recs = run_records(capsys, ["recognize", "--class", "split", files["dstar"]])
+    assert code == 0 and recs[0]["clique"] == ["u1", "u2"]
+    assert calls == [5]
+
+
 def test_recognize_reports_witness(files, capsys):
     code, recs = run_records(capsys, ["recognize", "--class", "split", files["c5"]])
     assert code == 0

@@ -42,8 +42,7 @@ from chordel.recognition import (
     find_hole,
     is_perfect_elimination_ordering,
     maximum_cardinality_search,
-    require_chordal,
-    require_split,
+    require,
 )
 from chordel import patterns as pat
 from chordel.interval import model_to_graph
@@ -80,7 +79,7 @@ def test_chordal_peo_c4_hole():
     c4 = pat.cycle_graph(4)
     assert chordal_peo(c4) is None
     with pytest.raises(NotInClassError) as err:
-        require_chordal(c4)
+        require(c4, CHORDAL)
     assert err.value.witness_name == "hole"
     check_cycle_witness(c4, err.value.witness)
 
@@ -89,7 +88,7 @@ def test_chordal_peo_trees():
     for seed in range(20):
         t = gen_tree(9, seed)
         peo = chordal_peo(t)
-        assert peo is not None and require_chordal(t) == peo
+        assert peo is not None and require(t, CHORDAL).peo == peo
         assert is_perfect_elimination_ordering(t, peo)
 
 
@@ -131,24 +130,22 @@ def test_split_partition_double_star():
 def test_split_partition_c5_obstruction():
     assert split_partition(pat.cycle_graph(5)) is None
     with pytest.raises(NotInClassError) as err:
-        require_split(pat.cycle_graph(5))
+        require(pat.cycle_graph(5), SPLIT)
     assert err.value.witness_name == "c5"
     assert len(err.value.witness) == 5
 
 
 @pytest.mark.parametrize(
-    "require_helper,g,kind,calls",
+    "label,g,kind,calls",
     [
-        (require_split, pat.two_k2(), "2k2", {"split_partition": 1}),
-        (require_split, pat.cycle_graph(5), "c5",
+        (SPLIT, pat.two_k2(), "2k2", {"split_partition": 1}),
+        (SPLIT, pat.cycle_graph(5), "c5",
          {"split_partition": 1, "maximum_cardinality_search": 1}),
-        (require_chordal, pat.cycle_graph(5), "hole", {"maximum_cardinality_search": 1}),
+        (CHORDAL, pat.cycle_graph(5), "hole", {"maximum_cardinality_search": 1}),
     ],
     ids=["split-2k2", "split-c5", "chordal-c5"],
 )
-def test_require_helpers_run_each_test_once_on_rejection(
-    require_helper, g, kind, calls, monkeypatch
-):
+def test_require_helpers_run_each_test_once_on_rejection(label, g, kind, calls, monkeypatch):
     counts = collections.Counter()
     for fn in ("split_partition", "maximum_cardinality_search"):
         def counted(h, _real=getattr(recognition, fn), _fn=fn):
@@ -157,7 +154,7 @@ def test_require_helpers_run_each_test_once_on_rejection(
 
         monkeypatch.setattr(recognition, fn, counted)
     with pytest.raises(NotInClassError) as err:
-        require_helper(g)
+        require(g, label)
     assert err.value.witness_name == kind
     assert counts == calls
 
@@ -175,6 +172,32 @@ def test_co_bipartite_rejection_skips_the_independent_triple_search(monkeypatch)
     monkeypatch.setattr(recognition, "_find_embedding", counted)
     assert recognize(g, CO_CHAIN) == recognition.Verdict(False, c4, "c4")
     assert searched == ["c4"]
+
+
+def test_require_returns_the_certificate_recognition_built():
+    members = collections.Counter()
+    for s in range(12):
+        n = 4 + 3 * s
+        for g in (
+            gen_split(n, 0.5, s),
+            gen_threshold(n, s)[0],
+            model_to_graph(gen_interval_model(n, s)),
+            gen_chordal(n, s),
+            gen_block(n, s),
+            gen_bipartite(n, 0.3, s)[0],
+            gen_tree(n, s),
+        ):
+            for label, built, expected in (
+                (SPLIT, "partition", split_partition(g)),
+                (THRESHOLD, "partition", split_partition(g)),
+                (CHORDAL, "peo", chordal_peo(g)),
+                (INTERVAL, "peo", chordal_peo(g)),
+            ):
+                if recognize(g, label).member:
+                    members[label.name] += 1
+                    assert recognize(g, label) == recognition.Verdict(True)
+                    assert getattr(require(g, label), built) == expected
+    assert min(members.values()) >= 12 and len(members) == 4
 
 
 def test_split_partition_complete_graph():

@@ -147,9 +147,9 @@ def test_bowtie_model_recognizes_each_factor_once(given_sides, monkeypatch):
 
     calls = []
 
-    def counted(g, label, known=None):
+    def counted(g, label):
         calls.append(label.name)
-        return real(g, label, known)
+        return real(g, label)
 
     real = recognition.recognize
     monkeypatch.setattr(recognition, "recognize", counted)
