@@ -1,10 +1,13 @@
 """Command-line entry point: recognize, solve, oracle, reduce, generate, selftest.
 
 Reports are line-delimited: human text by default, JSON records with
---format records, one result object per input file.  Exit codes: 0 success;
-1 solver precondition failure (obstruction printed), an instance above the
-exhaustive oracle's cap, or a failed selftest; 2 malformed input or input of
-the wrong kind; 3 a solver's own self-check failed (a record names the check).
+--format records, one result object per input file, read by `_load` and timed
+by `_timed`.  `_verify_result` checks a solution for solve --verify and the
+selftest alike (the recognizer, then the oracle on small inputs).  Exit
+codes: 0 success; 1 solver precondition failure (obstruction printed), an
+instance above the exhaustive oracle's cap, or a failed selftest; 2 malformed
+input or input of the wrong kind; 3 a solver's own self-check failed (a record
+names the check).
 """
 
 from __future__ import annotations
@@ -79,22 +82,22 @@ def _emit(report: dict, fmt: str) -> None:
     if fmt == "records":
         print(json.dumps(report, sort_keys=True))
         return
-    bits = []
-    for key, val in report.items():
-        if key in ("command",):
-            continue
-        bits.append(f"{key}={val}")
+    bits = [f"{key}={val}" for key, val in report.items() if key != "command"]
     print(f"[{report['command']}] " + " ".join(bits))
 
 
-def _load_graph(path: str) -> tuple[Graph, list[str]]:
+def _load(path: str, parse) -> tuple[Graph | IntervalModel, list[str]]:
+    """The instance and labels that `parse` (`sniff_and_parse` or
+    `parse_interval_model`) reads from the file at `path`."""
     with open(path, "r", encoding="utf-8") as fh:
-        return sniff_and_parse(fh.read())
+        return parse(fh.read())
 
 
-def _load_model(path: str) -> tuple[IntervalModel, list[str]]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_interval_model(fh.read())
+def _timed(work, *args):
+    """`work(*args)` and its elapsed milliseconds, rounded as records show them."""
+    t0 = time.perf_counter()
+    out = work(*args)
+    return out, round((time.perf_counter() - t0) * 1000, 3)
 
 
 def parse_class_label(text: str) -> ClassLabel:
@@ -108,7 +111,7 @@ def parse_class_label(text: str) -> ClassLabel:
             raise GraphInputError(error) from None
         return kp_free(p)
     if text.startswith("f-free:"):
-        g, _ = _load_graph(text.split(":", 1)[1])
+        g, _ = _load(text.split(":", 1)[1], sniff_and_parse)
         return f_free(g)
     raise GraphInputError(f"unknown class label {text!r}")
 
@@ -130,16 +133,14 @@ def _witness_in(labels: list[str]):
 def _cmd_recognize(args, fmt: str) -> int:
     label = parse_class_label(args.klass)
     for path in args.inputs:
-        g, labels = _load_graph(path)
-        t0 = time.perf_counter()
-        verdict = recognize(g, label)
-        elapsed = (time.perf_counter() - t0) * 1000
+        g, labels = _load(path, sniff_and_parse)
+        verdict, elapsed = _timed(recognize, g, label)
         report = {
             "command": "recognize",
             **_about(path, g),
             "class": label.spelling,
             "member": verdict.member,
-            "elapsed_ms": round(elapsed, 3),
+            "elapsed_ms": elapsed,
         }
         if not verdict.member:
             report["witness"] = _labelled(verdict.witness, labels)
@@ -167,9 +168,8 @@ _MODEL_SOLVERS = {
 }
 
 
-def _solve_one(args, instance) -> DeletionResult:
-    """Solve one graph, or one interval model for a `_MODEL_SOLVERS` problem."""
-    problem = args.problem
+def _solve_one(problem: str, p: int | None, instance) -> DeletionResult:
+    """Solve one graph, or an interval model for a `_MODEL_SOLVERS` problem."""
     if problem in _MODEL_SOLVERS:
         kept = _MODEL_SOLVERS[problem](instance)
         target = BASE_LABELS[problem.split("-to-")[1]]
@@ -177,11 +177,11 @@ def _solve_one(args, instance) -> DeletionResult:
     if problem in _GRAPH_SOLVERS:
         return _GRAPH_SOLVERS[problem](instance)
     if problem == "chordal-to-kp":
-        if args.p is None:
+        if p is None:
             raise GraphInputError("chordal-to-kp needs --p")
-        if args.p == 2:
+        if p == 2:
             return delete_to_k2free_chordal(instance)
-        target, why = kp_free(args.p), f"no polynomial routine wired for p={args.p}"
+        target, why = kp_free(p), f"no polynomial routine wired for p={p}"
     elif problem == "chordal-to-split":
         target, why = SPLIT, "chordal-to-split has no implemented polynomial routine"
     else:
@@ -201,12 +201,10 @@ def _cmd_solve(args, fmt: str) -> int:
     if args.model and not on_model:
         raise GraphInputError(f"--model is only for {' and '.join(_MODEL_SOLVERS)}")
     for path in [args.model] if on_model else args.inputs:
-        instance, labels = _load_model(path) if on_model else _load_graph(path)
+        instance, labels = _load(path, parse_interval_model if on_model else sniff_and_parse)
         g = model_to_graph(instance) if on_model else instance
-        t0 = time.perf_counter()
         with _witness_in(labels):
-            result = _solve_one(args, instance)
-        elapsed = (time.perf_counter() - t0) * 1000
+            result, elapsed = _timed(_solve_one, problem, args.p, instance)
         report = {
             "command": "solve",
             "problem": problem,
@@ -217,7 +215,7 @@ def _cmd_solve(args, fmt: str) -> int:
         }
         if not on_model:
             report["method"] = result.method
-        report["elapsed_ms"] = round(elapsed, 3)
+        report["elapsed_ms"] = elapsed
         if args.verify:
             report["verified"] = _verify_result(g, result)
         _emit(report, fmt)
@@ -228,11 +226,8 @@ def _verify_result(g: Graph, result: DeletionResult) -> bool:
     rest, _ = delete_vertices(g, result.deleted)
     if not recognize(rest, result.target_class).member:
         return False
-    if g.n <= 12:
-        ground = oracle_min_deletion(g, result.target_class)
-        if ground is None or ground.size != result.size:
-            return False
-    return True
+    ground = oracle_min_deletion(g, result.target_class) if g.n <= 12 else result
+    return ground is not None and ground.size == result.size
 
 
 def _cmd_oracle(args, fmt: str) -> int:
@@ -240,17 +235,13 @@ def _cmd_oracle(args, fmt: str) -> int:
         raise GraphInputError(f"--kmax must be at least 0, got {args.kmax}")
     label = parse_class_label(args.klass)
     for path in args.inputs:
-        g, labels = _load_graph(path)
-        t0 = time.perf_counter()
-        result = oracle_min_deletion(
-            g, label, k_max=args.kmax, allow_large=args.allow_large
-        )
-        elapsed = (time.perf_counter() - t0) * 1000
+        g, labels = _load(path, sniff_and_parse)
+        result, elapsed = _timed(oracle_min_deletion, g, label, args.kmax, args.allow_large)
         report = {
             "command": "oracle",
             **_about(path, g),
             "class": label.spelling,
-            "elapsed_ms": round(elapsed, 3),
+            "elapsed_ms": elapsed,
         }
         if result is None:
             report["exceeds_kmax"] = True
@@ -276,8 +267,8 @@ def _write_output(path: str | None, text: str, record: dict, g: Graph, fmt: str)
 
 def _cmd_reduce(args, fmt: str) -> int:
     pair = (args.source, args.target)
-    path = args.inputs[0]
-    g, labels = _load_graph(path)
+    path = args.input
+    g, labels = _load(path, sniff_and_parse)
     comments = [f"reduction {args.source} -> {args.target}", f"source {path}"]
     if pair == ("chain", "threshold"):
         sides = bipartition_classes(g)
@@ -290,7 +281,7 @@ def _cmd_reduce(args, fmt: str) -> int:
     elif pair == ("vc", "f-free"):
         if not args.pattern:
             raise GraphInputError("vc -> f-free needs --pattern")
-        pat, _ = _load_graph(args.pattern)
+        pat, _ = _load(args.pattern, sniff_and_parse)
         anchor = None
         if args.anchor:
             try:
@@ -325,12 +316,8 @@ def _cmd_generate(args, fmt: str) -> int:
     elif name == "threshold":
         g, creation = randgen.gen_threshold(n, seed)
         comments += ("creation " + " ".join(creation.roles),)
-    elif name == "chordal":
-        g = randgen.gen_chordal(n, seed)
-    elif name == "block":
-        g = randgen.gen_block(n, seed)
-    elif name == "tree":
-        g = randgen.gen_tree(n, seed)
+    elif name in ("chordal", "block", "tree"):
+        g = getattr(randgen, f"gen_{name}")(n, seed)
     elif name == "bipartite":
         g, sides = randgen.gen_bipartite(n, args.p_edge, seed)
         comments += (
@@ -383,8 +370,7 @@ def _selftest_suites(seeds: int):
             for problem, p in runs:
                 instance = drawn[problem.split("-to-")[0]]
                 g = model_to_graph(instance) if problem in _MODEL_SOLVERS else instance
-                got = _solve_one(argparse.Namespace(problem=problem, p=p), instance)
-                yield got.size == oracle_min_deletion(g, got.target_class).size
+                yield _verify_result(g, _solve_one(problem, p, instance))
 
     def bowtie_interval():
         for s in range(seeds):
@@ -418,14 +404,13 @@ def _cmd_selftest(args, fmt: str) -> int:
         raise GraphInputError(f"--seeds must be at least 1, got {args.seeds}")
     failures = 0
     for name, suite in _selftest_suites(args.seeds):
-        t0 = time.perf_counter()
-        results = list(suite())
+        results, elapsed = _timed(list, suite())
         bad = results.count(False)
         failures += bad
         status = "PASS" if bad == 0 else "FAIL"
         print(
             f"{status:4}  {name:26} {len(results) - bad}/{len(results)} checks "
-            f"({(time.perf_counter() - t0):.2f}s)"
+            f"({elapsed / 1000:.2f}s)"
         )
     print("selftest:", "PASS" if failures == 0 else f"FAIL ({failures} checks)")
     return EXIT_OK if failures == 0 else 1
@@ -469,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_red.add_argument("--pattern", help="pattern graph file for f-free targets")
     p_red.add_argument("--anchor", help="anchor edge 'a,b' in the pattern")
     p_red.add_argument("--output", help="write the image graph here")
-    add_inputs(p_red)
+    p_red.add_argument("input", help="graph file, edge list or graph6")
 
     p_gen = sub.add_parser("generate", help="seeded random instance")
     p_gen.add_argument("--class", dest="klass", required=True)

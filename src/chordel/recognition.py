@@ -17,7 +17,9 @@ the hole, asteroidal-triple and claw searches.  The obstruction search runs
 only on rejection, and skips the patterns that a split partition, a PEO or
 a bipartition of the complement has already ruled out.  The pattern, MCS,
 PEO and asteroidal-triple kernels run on int bitmasks of the adjacency, in
-the search order of adjacency sets, so the witnesses are the same.
+the search order of adjacency sets, so the witnesses are the same.  The
+asteroidal-triple sweep pairs only vertices of one component, and the
+p-clique search runs on the (p-1)-core.
 """
 
 from __future__ import annotations
@@ -175,13 +177,22 @@ def find_clique_of_size(g: Graph, p: int) -> VertexSet | None:
 
     Depth-first over common neighbourhoods with an explicit stack of
     (candidates, enumeration of them), so a clique deeper than the recursion
-    limit is still found.
+    limit is still found.  The search runs on the (p-1)-core, ascending: a
+    p-clique lies in it, and a chordal graph without one has an empty core
+    (it is (p-2)-degenerate), so that refutation costs linear time.
     """
     if p == 0:
         return ()
+    degree = list(map(len, g.adj))
+    peeled = [v for v in g.vertices() if degree[v] < p - 1]
+    for v in peeled:  # grows while walked: u joins as its degree drops below p-1
+        for u in g.adj[v]:
+            degree[u] -= 1
+            if degree[u] == p - 2:
+                peeled.append(u)
     current: list[int] = []
-    everyone = list(g.vertices())
-    stack = [(everyone, enumerate(everyone))]
+    core = [v for v in g.vertices() if degree[v] >= p - 1]
+    stack = [(core, enumerate(core))]
     while stack:
         common, rest = stack[-1]
         for i, v in rest:
@@ -347,33 +358,39 @@ def enumerate_split_partitions(g: Graph) -> list[SplitPartition]:
 # asteroidal triples
 
 
+def _parts(masks: list[int], bits: list[int], rest: int) -> list[int]:
+    """Per vertex, the mask of its component in g[`rest`]; 0 outside `rest`."""
+    label = [0] * len(masks)
+    while rest:
+        todo = part = bits[(rest & -rest).bit_length() - 1]  # a lone vertex shares bits[v]
+        rest ^= todo
+        members = []
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            members.append(low.bit_length() - 1)
+            reach = masks[members[-1]] & rest
+            rest ^= reach
+            todo |= reach
+            part |= reach
+        for v in members:
+            label[v] = part
+    return label
+
+
 def find_asteroidal_triple(g: Graph) -> tuple[int, int, int] | None:
     """First vertex triple whose members pairwise connect while avoiding the
-    closed neighborhood of the third, in ascending order, or None.  `comp[z][v]`
-    masks the component of G - N[z] holding v, 0 when v is in N[z]."""
+    closed neighborhood of the third, in ascending order, or None.  The three
+    lie in one component of g, `whole[v]`; `comp[z][v]` masks the component
+    of that one minus N[z] holding v, 0 when v is in N[z]."""
     masks, bits = list(map(mask, g.adj)), [1 << v for v in g.vertices()]
-    comp: list[list[int]] = []
-    for z in g.vertices():
-        rest = ((1 << g.n) - 1) & ~(masks[z] | bits[z])
-        label = [0] * g.n
-        while rest:
-            todo = part = bits[(rest & -rest).bit_length() - 1]  # shared by all z if alone
-            rest ^= todo
-            members = []
-            while todo:
-                low = todo & -todo
-                todo ^= low
-                members.append(low.bit_length() - 1)
-                reach = masks[members[-1]] & rest
-                rest ^= reach
-                todo |= reach
-                part |= reach
-            for v in members:
-                label[v] = part
-        comp.append(label)
-
+    whole = _parts(masks, bits, (1 << g.n) - 1)
+    comp = [_parts(masks, bits, whole[z] & ~(masks[z] | bits[z])) for z in g.vertices()]
     for x in g.vertices():
-        for y in range(x + 1, g.n):
+        ys = whole[x] >> (x + 1)
+        while ys:  # lowest y first
+            y = x + (ys & -ys).bit_length()
+            ys &= ys - 1
             cands = (comp[y][x] & comp[x][y]) >> (y + 1)
             while cands:  # lowest z first
                 low = cands & -cands

@@ -18,9 +18,10 @@ from chordel import (
     SplitPartition,
     induced_subgraph,
 )
-from chordel.graph import BlockCutTree, VertexSet, check_vertex_cap, vset
+from chordel.graph import BlockCutTree, VertexSet, check_vertex_cap, disjoint_union, vset
 from chordel.graphio import _g6_size_bytes
 from chordel.interval import IntervalModel
+from chordel.patterns import cycle_graph
 from chordel.recognition import (
     _PATTERNS,
     CHORDAL,
@@ -103,6 +104,26 @@ def labelled_graphs(n: int):
     pairs = list(combinations(range(n), 2))
     for mask in range(1 << len(pairs)):
         yield mask, Graph.from_edges(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
+
+
+def disjoint_unions():
+    """g + h for every two labelled graphs on at most 4 vertices, and each
+    graph below with an asteroidal triple beside each of them, on both sides:
+    the triples, cliques and walks must keep to one component."""
+    small = [g for n in range(5) for _, g in labelled_graphs(n)]
+    for g in small:
+        for h in small:
+            yield disjoint_union(g, h)
+        for at in (cycle_graph(6), ng.net(), ng.tent(), ng.rising_sun()):
+            yield disjoint_union(g, at)
+            yield disjoint_union(at, g)
+
+
+def random_graph(n: int, p: float, seed: int) -> Graph:
+    """Each pair of 0..n-1 an edge with probability p, drawn in pair order."""
+    rng = random.Random(seed)
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+    return Graph.from_edges(n, edges)
 
 
 def labelled_split_graphs(n_max: int):

@@ -1,13 +1,15 @@
-"""Capture tests/golden/randgen_digests.json: one sha256 per seeded generator call.
+"""Capture or verify tests/golden/randgen_digests.json: one sha256 per seeded generator call.
 
 Each digest is of the call's output as `write_edge_list` (graphs) or
 `write_interval_model` (the interval model) prints it, for all seven
-generators at n = 64, 256 and 1024, seeds 1 and 2.  Run it once, from the
-repository root, at a commit whose generators are trusted:
+generators at n = 64, 256 and 1024, seeds 1 and 2.  Run it from the
+repository root:
 
     PYTHONPATH=src python tests/capture_randgen_digests.py
 
-It refuses to overwrite an existing file.
+If the file does not exist, it is captured, at a commit whose generators
+are trusted.  If it exists, it is never overwritten: every digest is
+computed again, and the script exits 1 if any differs from its pin.
 """
 
 import hashlib
@@ -45,12 +47,24 @@ def digest(name: str, n: int, seed: int) -> str:
 
 
 if __name__ == "__main__":
-    if GOLDEN.exists():
-        sys.exit(f"{GOLDEN} exists; delete it by hand to capture again")
-    pins = {
-        case_key(name, n, seed): digest(name, n, seed)
+    keys = {
+        case_key(name, n, seed): (name, n, seed)
         for name in GENERATORS
         for n in SIZES
         for seed in SEEDS
     }
-    GOLDEN.write_text(json.dumps(pins, indent=1, sort_keys=True) + "\n")
+    if not GOLDEN.exists():
+        pins = {key: digest(*call) for key, call in keys.items()}
+        GOLDEN.write_text(json.dumps(pins, indent=1, sort_keys=True) + "\n")
+        sys.exit(0)
+    pins = json.loads(GOLDEN.read_text())
+    bad = sorted(set(keys) ^ set(pins))
+    for key in bad:
+        print(f"MISSING  {key}: in only one of the script and {GOLDEN.name}")
+    for key in sorted(set(keys) & set(pins)):
+        ok = digest(*keys[key]) == pins[key]
+        print(f"{'ok' if ok else 'DIFFERS':7}  {key}", flush=True)
+        if not ok:
+            bad.append(key)
+    print(f"{len(pins) - len(bad)} of {len(pins)} entries match")
+    sys.exit(1 if bad else 0)

@@ -245,6 +245,18 @@ def test_reduce_chain_to_threshold(capsys, tmp_path):
     assert recognize(g, SPLIT).member
 
 
+def test_reduce_takes_one_input_file(capsys, tmp_path):
+    """A second file is refused by the parser instead of being ignored."""
+    a, b = tmp_path / "a.el", tmp_path / "b.el"
+    a.write_text("4 2\n0 1\n2 3\n")
+    b.write_text("2 1\n0 1\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["reduce", "--from", "chain", "--to", "threshold", str(a), str(b)])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "unrecognized arguments" in out.err
+
+
 def test_solve_interval_problem_with_model(capsys, tmp_path):
     mfile = tmp_path / "claw.iv"
     mfile.write_text("c 0 10\na 1 2\nb 4 5\nd 7 8\n")
@@ -288,6 +300,24 @@ def test_selftest_small(capsys):
     assert main(["selftest", "--seeds", "4"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out.replace("PASS", "")
+
+
+def test_selftest_checks_feasibility_not_only_size(capsys, monkeypatch):
+    """A stand-in returning an optimal-size but shifted, so infeasible, set
+    fails the solver-vs-oracle suite."""
+    from chordel.graph import DeletionResult, vset
+    from chordel.split_solvers import delete_to_cluster_split
+
+    def shifted(g):
+        got = delete_to_cluster_split(g)
+        moved = vset((v + 1) % g.n for v in got.deleted)
+        return DeletionResult(moved, got.target_class, got.method)
+
+    monkeypatch.setitem(_GRAPH_SOLVERS, "split-to-cluster", shifted)
+    assert main(["selftest", "--seeds", "4"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL  solver-vs-oracle           56/60 checks" in out
+    assert out.endswith("selftest: FAIL (4 checks)\n")
 
 
 @pytest.mark.parametrize("seeds", ["0", "-1"])
@@ -577,3 +607,26 @@ def test_solve_golden(problem, source, fmt, verify, tmp_path, monkeypatch):
     want = json.loads(GOLDEN.read_text())[_solve_case_id(problem, source, fmt, verify)]
     code, out = solve_stdout(problem, source, fmt, verify)
     assert (code, out) == (want["code"], want["stdout"])
+
+
+CHORDAL_128 = ["generate", "--class", "chordal", "--n", "128", "--seed", "0"]
+
+
+@pytest.mark.parametrize("klass, generate, member", [
+    # clique number 105; a chordal graph without a 106-clique has an empty 105-core
+    ("kp:106", CHORDAL_128, True),
+    ("kp:105", CHORDAL_128, False),
+    # 1,000 isolated vertices: no two connect, so the asteroidal-triple sweep pairs none
+    ("unit-interval", None, True),
+])
+def test_recognize_is_fast_where_the_search_is_empty(klass, generate, member, tmp_path, capsys):
+    path = tmp_path / "g.el"
+    if generate:
+        assert main([*generate, "--output", str(path)]) == 0
+        capsys.readouterr()
+    else:
+        path.write_text("1000 0\n")
+    start = time.perf_counter()
+    code, recs = run_records(capsys, ["recognize", "--class", klass, str(path)])
+    assert time.perf_counter() - start < 0.5
+    assert code == 0 and recs[0]["member"] is member

@@ -18,7 +18,7 @@ from chordel import (
     write_edge_list,
 )
 import bruteforce as bf
-from bruteforce import remove_edges
+from bruteforce import random_graph, remove_edges
 import named_graphs as ng
 from chordel.graph import (
     add_edges,
@@ -30,12 +30,6 @@ from chordel import patterns as pat
 from chordel import randgen
 from chordel.recognition import find_clique_of_size
 from chordel.structural import list_maximal_cliques_chordal
-
-
-def random_graph(n, p, seed):
-    rng = random.Random(seed)
-    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
-    return Graph.from_edges(n, edges)
 
 
 def test_graph_invariants_enforced():
@@ -113,12 +107,15 @@ def _same_walks(g, ps) -> None:
 def test_walks_match_reference_on_labelled_graphs():
     """Components (of the complement too), blocks, cut vertices and the least
     clique of every size p = 0..n+1 equal the reference walks' on every
-    labelled graph with at most 6 vertices."""
+    labelled graph with at most 6 vertices, and on disjoint unions, where the
+    clique search runs on the (p-1)-core."""
     for n in range(7):
         for _, g in bf.labelled_graphs(n):
             _same_walks(g, range(n + 2))
             co = complement(g)
             assert connected_components(co) == bf.connected_components_reference(co)
+    for g in bf.disjoint_unions():
+        _same_walks(g, range(g.n + 2))
 
 
 SEEDED = {

@@ -8,7 +8,7 @@ from itertools import chain, combinations
 import pytest
 
 import bruteforce as bf
-from bruteforce import are_isomorphic, find_pattern, has_asteroidal_triple
+from bruteforce import are_isomorphic, find_pattern, has_asteroidal_triple, random_graph
 import named_graphs as ng
 from chordel import (
     BLOCK,
@@ -55,12 +55,6 @@ from chordel.randgen import (
     gen_threshold,
     gen_tree,
 )
-
-
-def random_graph(n, p, seed):
-    rng = random.Random(seed)
-    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
-    return Graph.from_edges(n, edges)
 
 
 def check_cycle_witness(g, cycle):
@@ -313,6 +307,12 @@ def test_bitmask_kernels_match_reference():
         assert find_asteroidal_triple(g) == bf.asteroidal_triple_reference(g)
 
 
+def test_asteroidal_triple_matches_reference_on_disjoint_unions():
+    # the sweep pairs only vertices of one component of g
+    for g in bf.disjoint_unions():
+        assert find_asteroidal_triple(g) == bf.asteroidal_triple_reference(g)
+
+
 # ---------------------------------------------------------- pattern search
 
 
@@ -513,14 +513,9 @@ def test_split_partition_family_structure():
                     assert len(a.clique) == omega
                     assert len(b.independent) == alpha
                 elif len(a.clique) == len(b.clique):
-                    strip_a = _drop_clique_edges(g, a.clique)
-                    strip_b = _drop_clique_edges(g, b.clique)
+                    strip_a = bf.remove_edges(g, combinations(a.clique, 2))
+                    strip_b = bf.remove_edges(g, combinations(b.clique, 2))
                     assert are_isomorphic(strip_a, strip_b)
-
-
-def _drop_clique_edges(g, cliq):
-    drop = {(min(u, v), max(u, v)) for i, u in enumerate(cliq) for v in cliq[i + 1 :]}
-    return Graph.from_edges(g.n, [e for e in g.edges() if e not in drop])
 
 
 def test_are_isomorphic_basic():

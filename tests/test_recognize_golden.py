@@ -8,13 +8,13 @@ it at a commit whose output is trusted:
 """
 
 import json
-import random
 from itertools import combinations
 from pathlib import Path
 
 import pytest
 
 import named_graphs as ng
+from bruteforce import random_graph
 from chordel import Graph, recognize
 from chordel import patterns as pat
 from chordel import randgen
@@ -22,13 +22,6 @@ from chordel.interval import model_to_graph
 from chordel.recognition import _OBSTRUCTIONS, BASE_LABELS
 
 GOLDEN = Path(__file__).parent / "golden" / "recognize_verdicts.json"
-
-
-def _random_graph(n, p, seed):
-    rng = random.Random(seed)
-    return Graph.from_edges(
-        n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
-    )
 
 
 def corpus():
@@ -67,7 +60,7 @@ def corpus():
         ("tree-9", randgen.gen_tree(9, 6)),
         ("bipartite-8", randgen.gen_bipartite(8, 0.5, 7)[0]),
     ]
-    out += [(f"random-{n}-{seed}", _random_graph(n, 0.5, seed))
+    out += [(f"random-{n}-{seed}", random_graph(n, 0.5, seed))
             for n in (7, 8, 9) for seed in range(3)]
     return out
 
