@@ -43,7 +43,9 @@ class Graph:
     """Adjacency-set representation of an undirected simple graph.
 
     Invariants: adjacency is symmetric, there are no self loops, and the
-    vertex ids are exactly 0..n-1.
+    vertex ids are exactly 0..n-1.  `Graph(n, adj)` checks them; the
+    builders below, whose adjacency holds them by construction, go through
+    `_built` and skip the check (the tests run it on their outputs).
     """
 
     n: int
@@ -62,7 +64,17 @@ class Graph:
                     raise GraphInputError(f"asymmetric edge {v}-{u}")
 
     @classmethod
+    def _built(cls, n: int, adj: tuple[frozenset[int], ...]) -> "Graph":
+        """A graph whose adjacency is valid by construction, unchecked."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "adj", adj)
+        return g
+
+    @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
+        if n < 0:
+            raise GraphInputError(f"adjacency length 0 != n = {n}")
         adj: list[set[int]] = [set() for _ in range(n)]
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -71,7 +83,7 @@ class Graph:
                 raise GraphInputError(f"self-loop ({u}, {v})")
             adj[u].add(v)
             adj[v].add(u)
-        return cls(n, tuple(frozenset(s) for s in adj))
+        return cls._built(n, tuple(map(frozenset, adj)))
 
     @property
     def m(self) -> int:
@@ -129,7 +141,7 @@ def delete_vertices(g: Graph, s: Iterable[int]) -> tuple[Graph, dict[int, int]]:
     adj = tuple(
         frozenset(old_to_new[u] for u in g.adj[v] if u not in dead) for v in survivors
     )
-    return Graph(len(survivors), adj), old_to_new
+    return Graph._built(len(survivors), adj), old_to_new
 
 
 def induced_subgraph(g: Graph, keep: Iterable[int]) -> tuple[Graph, dict[int, int]]:
@@ -141,7 +153,7 @@ def induced_subgraph(g: Graph, keep: Iterable[int]) -> tuple[Graph, dict[int, in
 def complement(g: Graph) -> Graph:
     all_v = frozenset(g.vertices())
     adj = tuple(all_v - g.adj[v] - {v} for v in g.vertices())
-    return Graph(g.n, adj)
+    return Graph._built(g.n, adj)
 
 
 def rooted_forest(roots, nbrs) -> tuple[dict, dict, dict]:
@@ -191,7 +203,7 @@ def disjoint_union(g1: Graph, g2: Graph) -> Graph:
     """g1 followed by g2, with g2's ids shifted up by g1.n."""
     off = g1.n
     adj = tuple(g1.adj) + tuple(frozenset(u + off for u in s) for s in g2.adj)
-    return Graph(g1.n + g2.n, adj)
+    return Graph._built(g1.n + g2.n, adj)
 
 
 def add_edges(g: Graph, extra: Iterable[tuple[int, int]]) -> Graph:

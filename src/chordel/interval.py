@@ -1,21 +1,26 @@
 """Interval models and the sweep solvers that run on them.
 
 Endpoints are exact, never floats: each is an int, or a Fraction when it is
-not integral.  `IntervalModel` is the only converter; callers hand it ints,
-Fractions or anything `Fraction` accepts.  The solvers only compare
-endpoints, so they first rank all 2n of them onto the ints 1..2n, with ties
-resolved so that the intersection graph is unchanged (left endpoints come
-before right endpoints at equal coordinates), and sweep over those ranks.
-The ranked model is in general position: all 2n endpoints distinct.
+not integral, and an integral endpoint never passes through a Fraction: the
+model reader reads a decimal token with `int`, and `IntervalModel` keeps an
+int as it is and converts anything else `Fraction` accepts.  The solvers
+only compare endpoints, so they first rank all 2n of them onto the ints
+1..2n, with ties resolved so that the intersection graph is unchanged (left
+endpoints come before right endpoints at equal coordinates), and sweep over
+those ranks.  The ranked model is in general position: all 2n endpoints
+distinct.  Each solver re-checks its answer on the intersection graph of
+the kept intervals alone.  The cluster solver's window table takes O(n^2)
+entries, each a bisection and at most one list deletion, in O(n) memory.
 """
 
 from __future__ import annotations
 
 import bisect
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graph import Graph, GraphInputError, VertexSet, induced_subgraph, vset
+from .graph import Graph, GraphInputError, VertexSet, vset
 from .graphio import data_lines
 from .recognition import CLUSTER, COMPLETE_SPLIT, recognize
 
@@ -29,10 +34,10 @@ class IntervalModel:
     def __post_init__(self) -> None:
         norm = []
         for i, (l, r) in enumerate(self.intervals):
-            lf, rf = Fraction(l), Fraction(r)
-            if lf > rf:
+            l, r = _exact(l), _exact(r)
+            if l > r:
                 raise GraphInputError(f"interval {i} has l > r")
-            norm.append(tuple(x.numerator if x.denominator == 1 else x for x in (lf, rf)))
+            norm.append((l, r))
         object.__setattr__(self, "intervals", tuple(norm))
 
     @property
@@ -52,12 +57,15 @@ class IntervalModel:
         so touching intervals keep touching; ties within a kind break by
         vertex id.
         """
-        spots: dict[tuple[int, int], int] = {}
-        for pos, (_, kind, v) in enumerate(_events(self), start=1):
-            spots[(kind, v)] = pos
-        return IntervalModel(
-            tuple((spots[(0, v)], spots[(1, v)]) for v in range(self.n))
-        )
+        return _prepared(self)[0]
+
+
+def _exact(x) -> int | Fraction:
+    """x as an int when integral, else as a Fraction; ints pass untouched."""
+    if type(x) is int:
+        return x
+    x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
 
 def _events(m: IntervalModel) -> list[tuple[int | Fraction, int, int]]:
@@ -69,15 +77,26 @@ def _events(m: IntervalModel) -> list[tuple[int | Fraction, int, int]]:
 
 def model_to_graph(m: IntervalModel) -> Graph:
     """Intersection graph of the closed intervals, by one endpoint sweep."""
-    edges: list[tuple[int, int]] = []
+    adj: list[set[int]] = [set() for _ in range(m.n)]
     active: set[int] = set()
     for _, kind, v in _events(m):
         if kind:
             active.remove(v)
         else:
-            edges += ((u, v) for u in active)
+            for u in active:
+                adj[u].add(v)
+            adj[v].update(active)
             active.add(v)
-    return Graph.from_edges(m.n, edges)
+    return Graph._built(m.n, tuple(map(frozenset, adj)))
+
+
+def _endpoint(tok: str) -> int | Fraction:
+    """The exact value of an endpoint token; ValueError when it has none."""
+    if (tok[1:] if tok[0] in "+-" else tok).isdecimal():
+        return int(tok)
+    if "e" in tok.lower():  # 1e99999999 builds 10**99999999
+        raise ValueError
+    return Fraction(tok)
 
 
 def parse_interval_model(text: str) -> tuple[IntervalModel, list[str]]:
@@ -89,9 +108,7 @@ def parse_interval_model(text: str) -> tuple[IntervalModel, list[str]]:
         if len(toks) != 3:
             raise GraphInputError(f"model line must be 'label l r', got {line!r}")
         try:
-            if "e" in (toks[1] + toks[2]).lower():  # 1e99999999 builds 10**99999999
-                raise ValueError
-            rows.append((toks[0], Fraction(toks[1]), Fraction(toks[2])))
+            rows.append((toks[0], _endpoint(toks[1]), _endpoint(toks[2])))
         except (ValueError, ZeroDivisionError):
             raise GraphInputError(f"bad endpoint in {line!r}") from None
     labels = [lab for lab, _, _ in rows]
@@ -111,8 +128,10 @@ def write_interval_model(m: IntervalModel, labels: list[str] | None = None) -> s
 
 def _prepared(m: IntervalModel) -> tuple[IntervalModel, list[int], list[int]]:
     """The model re-spaced onto ranks 1..2n, and its left and right ranks."""
-    m = m.normalized()
-    return m, [l for l, _ in m.intervals], [r for _, r in m.intervals]
+    lo, hi = [0] * m.n, [0] * m.n
+    for pos, (_, kind, v) in enumerate(_events(m), start=1):
+        (hi if kind else lo)[v] = pos
+    return IntervalModel(tuple(zip(lo, hi))), lo, hi
 
 
 def max_clique_window(m: IntervalModel, lo, hi) -> VertexSet:
@@ -149,7 +168,9 @@ def max_complete_split_subgraph(m: IntervalModel) -> VertexSet:
     All O(n^2) extreme pairs are enumerated; a pure clique covers |I| <= 1.
     Per alpha, the greedy earliest-right-end chain of the intervals right of
     alpha is built once: its prefix ending before beta is that independent
-    set.  Candidate sets are only built when their size can win.
+    set; the intervals through alpha are read off one descending right-end
+    order, longest reach first.  Candidate sets are only built when their
+    size can win.
     """
     m, lo, hi = _prepared(m)
     best = max_clique_window(m, 1, 2 * m.n)  # the ranks span 1..2n
@@ -161,7 +182,7 @@ def max_complete_split_subgraph(m: IntervalModel) -> VertexSet:
             if lo[v] > (chain_ends[-1] if chain_ends else alpha):
                 chain.append(v)
                 chain_ends.append(hi[v])
-        through = sorted((v for v in range(m.n) if lo[v] < alpha), key=lambda v: -hi[v])
+        through = [v for v in reversed(by_right) if lo[v] < alpha]
         through_ends = [-hi[v] for v in through]
         for vr in range(m.n):
             beta = lo[vr]
@@ -178,29 +199,53 @@ def max_complete_split_subgraph(m: IntervalModel) -> VertexSet:
     return best
 
 
-def _window_sizes(lo: list[int], hi: list[int]) -> list[tuple[int, int, int, int, int]]:
-    """(hi[b], lo[a], a, b, size): each window [lo[a], hi[b]] holding an
-    interval, with its maximum clique size, by one sweep per left end.
+def _window_sizes(lo: list[int], hi: list[int]) -> Iterator[tuple[int, list[tuple[int, int]]]]:
+    """Per interval b by right end: b and the windows [lo[a], hi[b]] that
+    hold an interval, as (a, size) by descending lo[a], where size is the
+    window's maximum clique size.
 
-    Members enter by right end.  A clique is the set of members through the
-    least right end among them, so the size is the largest count of members
-    through a member's right end; v adds one to the counts from l(v) on.
+    One sweep per right end; members (the intervals inside the window) enter
+    by descending left end.  A clique is the set of members through the
+    greatest left end among them, so the size is the largest count of
+    members through a member's left end; v adds one to the counts of the
+    left ends up to r(v), and its own left end enters with count 1.  Only
+    the records are kept, the left ends whose count beats every count that
+    entered after them: `tops` holds them negated and ascending, `drops[k]`
+    how far count k - 1 is above count k (drops[0] is unused).  An entry
+    raises a suffix of the records, which lowers one drop; a record whose
+    drop reaches 0 is tied and leaves.  So each of the O(n^2) entries costs
+    one bisection and at most one list deletion.
     """
-    by_right = sorted(range(len(lo)), key=hi.__getitem__)
-    out = []
-    for a, start in enumerate(lo):
-        ends, counts, size = [], [], 0
-        for b in by_right:
-            if hi[b] < start:
-                continue
-            if lo[b] >= start:
-                i = bisect.bisect_left(ends, lo[b])
-                counts[i:] = [c + 1 for c in counts[i:]] + [1]
-                ends.append(hi[b])
-                size = max(size, max(counts[i:]))
+    by_left = sorted(range(len(lo)), key=lo.__getitem__, reverse=True)
+    starts = sorted(lo)
+    for b in sorted(range(len(lo)), key=hi.__getitem__):
+        stop = hi[b]
+        tops: list[int] = []
+        drops: list[int] = []
+        size = last = 0  # the largest count, and the count of the last entry
+        row = []
+        for a in by_left[len(lo) - bisect.bisect_left(starts, stop):]:
+            if hi[a] <= stop:
+                k = bisect.bisect_left(tops, -hi[a])
+                if k < len(tops):
+                    last += 1
+                    if k == 0:
+                        size += 1
+                    else:
+                        drops[k] -= 1
+                        if not drops[k]:
+                            drops[k] = drops[k - 1]
+                            del tops[k - 1], drops[k - 1]
+                if last == 1:
+                    tops[-1] = -lo[a]
+                else:
+                    tops.append(-lo[a])
+                    drops.append(last - 1)
+                    last = 1
+                    size = size or 1  # the first member
             if size:
-                out.append((hi[b], start, a, b, size))
-    return out
+                row.append((a, size))
+        yield b, row
 
 
 def max_cluster_subgraph(m: IntervalModel) -> VertexSet:
@@ -210,35 +255,44 @@ def max_cluster_subgraph(m: IntervalModel) -> VertexSet:
     left and one right endpoint, and the windows of distinct cliques are
     disjoint.  Weigh all windows by their maximum clique size and take a
     maximum-weight disjoint subfamily by the classic dynamic program over
-    windows sorted by right endpoint; only the windows it picks are swept
-    for their actual clique.
+    right ends: best[j] is the largest weight within the j least right
+    ends, and the j-th right end picks the window that adds most to the
+    best before its left end (the least left end on ties) when that beats
+    best[j - 1].  Only the windows it picks are swept for their actual
+    clique.
     """
     m, lo, hi = _prepared(m)
     if m.n == 0:
         return ()
-    windows = sorted(_window_sizes(lo, hi))
-
-    rights = [w[0] for w in windows]
-    k = len(windows)
-    dp = [0] * (k + 1)
-    for j in range(1, k + 1):
-        right, left, _, _, size = windows[j - 1]
-        prev = bisect.bisect_left(rights, left)
-        dp[j] = max(dp[j - 1], dp[prev] + size)
+    ends = sorted(hi)
+    before = [bisect.bisect_left(ends, x) for x in lo]  # right ends below each left end
+    best = [0]
+    picks: list[tuple[int, int, int] | None] = []
+    for b, row in _window_sizes(lo, hi):
+        top, pick = 0, None
+        for a, size in row:  # by descending left end, so >= keeps the least
+            value = best[before[a]] + size
+            if value >= top:
+                top, pick = value, (a, b, size)
+        if top > best[-1]:
+            best.append(top)
+            picks.append(pick)
+        else:
+            best.append(best[-1])
+            picks.append(None)
 
     chosen: list[tuple[int, int, VertexSet]] = []
-    j = k
+    j = m.n
     while j > 0:
-        right, left, va, vb, size = windows[j - 1]
-        prev = bisect.bisect_left(rights, left)
-        if dp[prev] + size > dp[j - 1]:
-            cliq = max_clique_window(m, m.left(va), m.right(vb))
-            if len(cliq) != size:
-                raise AssertionError("window sweep disagrees with its size table")
-            chosen.append((left, right, cliq))
-            j = prev
-        else:
+        if picks[j - 1] is None:
             j -= 1
+            continue
+        a, b, size = picks[j - 1]
+        cliq = max_clique_window(m, lo[a], hi[b])
+        if len(cliq) != size:
+            raise AssertionError("window sweep disagrees with its size table")
+        chosen.append((lo[a], hi[b], cliq))
+        j = before[a]
 
     for (l1, r1, _), (l2, r2, _) in zip(chosen, chosen[1:]):
         if not (r2 < l1 or r1 < l2):
@@ -249,7 +303,8 @@ def max_cluster_subgraph(m: IntervalModel) -> VertexSet:
 
 
 def _verify(m: IntervalModel, kept: VertexSet, label) -> None:
-    g = model_to_graph(m)
-    sub, _ = induced_subgraph(g, kept)
+    """Recognize the intersection graph of the kept intervals: exactly the
+    induced subgraph on `kept`, with the same ids in the same order."""
+    sub = model_to_graph(IntervalModel(tuple(m.intervals[v] for v in kept)))
     if not recognize(sub, label).member:
         raise AssertionError(f"interval solver output is not {label.spelling}")

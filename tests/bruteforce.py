@@ -6,7 +6,7 @@ paths it checks.
 """
 
 import random
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -20,11 +20,13 @@ from chordel import (
 )
 from chordel.graph import BlockCutTree, VertexSet, check_vertex_cap, disjoint_union, vset
 from chordel.graphio import _g6_size_bytes
-from chordel.interval import IntervalModel
+from chordel.interval import IntervalModel, max_clique_window
 from chordel.patterns import cycle_graph
 from chordel.recognition import (
     _PATTERNS,
     CHORDAL,
+    CLUSTER,
+    COMPLETE_SPLIT,
     PatternTooLargeError,
     Verdict,
     _find_embedding,
@@ -32,6 +34,7 @@ from chordel.recognition import (
     find_asteroidal_triple,
     find_hole,
     is_valid_split_partition,
+    recognize,
     require,
     split_partition,
 )
@@ -1079,3 +1082,140 @@ def parse_interval_model_reference(text: str) -> tuple[IntervalModel, list[str]]
     if len(set(labels)) != len(labels):
         raise GraphInputError("duplicate vertex labels in model")
     return IntervalModel(tuple((l, r) for _, l, r in rows)), labels
+
+
+# The interval-model sweeps as they stood before the solvers moved onto
+# integer ranks end to end: Fraction re-conversion, two intersection graphs
+# per solve, and a suffix list rebuilt per member of the window table.  The
+# interval tests hold the library to them, tuple for tuple.
+
+
+def _events_reference(m: IntervalModel) -> list:
+    """(coordinate, 0 for left or 1 for right, vertex), in sweep order."""
+    return sorted(
+        (x, kind, v) for v, ends in enumerate(m.intervals) for kind, x in enumerate(ends)
+    )
+
+
+def _prepared_reference(m: IntervalModel) -> tuple:
+    """The model re-spaced onto ranks 1..2n, and its left and right ranks."""
+    spots = {}
+    for pos, (_, kind, v) in enumerate(_events_reference(m), start=1):
+        spots[(kind, v)] = pos
+    m = IntervalModel(tuple((spots[(0, v)], spots[(1, v)]) for v in range(m.n)))
+    return m, [l for l, _ in m.intervals], [r for _, r in m.intervals]
+
+
+def model_to_graph_reference(m: IntervalModel) -> Graph:
+    """Intersection graph of the closed intervals, by one endpoint sweep."""
+    edges: list[tuple[int, int]] = []
+    active: set[int] = set()
+    for _, kind, v in _events_reference(m):
+        if kind:
+            active.remove(v)
+        else:
+            edges += ((u, v) for u in active)
+            active.add(v)
+    return Graph.from_edges(m.n, edges)
+
+
+def _verify_reference(m: IntervalModel, kept: VertexSet, label) -> None:
+    g = model_to_graph_reference(m)
+    sub, _ = induced_subgraph(g, kept)
+    if not recognize(sub, label).member:
+        raise AssertionError(f"interval solver output is not {label.spelling}")
+
+
+def window_sizes_reference(lo: list[int], hi: list[int]) -> list:
+    """(hi[b], lo[a], a, b, size): each window [lo[a], hi[b]] holding an
+    interval, with its maximum clique size, by one sweep per left end.
+
+    Members enter by right end.  A clique is the set of members through the
+    least right end among them, so the size is the largest count of members
+    through a member's right end; v adds one to the counts from l(v) on.
+    """
+    by_right = sorted(range(len(lo)), key=hi.__getitem__)
+    out = []
+    for a, start in enumerate(lo):
+        ends, counts, size = [], [], 0
+        for b in by_right:
+            if hi[b] < start:
+                continue
+            if lo[b] >= start:
+                i = bisect_left(ends, lo[b])
+                counts[i:] = [c + 1 for c in counts[i:]] + [1]
+                ends.append(hi[b])
+                size = max(size, max(counts[i:]))
+            if size:
+                out.append((hi[b], start, a, b, size))
+    return out
+
+
+def max_cluster_subgraph_reference(m: IntervalModel) -> VertexSet:
+    """Largest vertex set inducing a cluster graph: every window weighed by
+    its maximum clique size, then the disjoint-window dynamic program over
+    the windows sorted by right endpoint."""
+    m, lo, hi = _prepared_reference(m)
+    if m.n == 0:
+        return ()
+    windows = sorted(window_sizes_reference(lo, hi))
+
+    rights = [w[0] for w in windows]
+    k = len(windows)
+    dp = [0] * (k + 1)
+    for j in range(1, k + 1):
+        right, left, _, _, size = windows[j - 1]
+        prev = bisect_left(rights, left)
+        dp[j] = max(dp[j - 1], dp[prev] + size)
+
+    chosen: list[tuple[int, int, VertexSet]] = []
+    j = k
+    while j > 0:
+        right, left, va, vb, size = windows[j - 1]
+        prev = bisect_left(rights, left)
+        if dp[prev] + size > dp[j - 1]:
+            cliq = max_clique_window(m, m.left(va), m.right(vb))
+            if len(cliq) != size:
+                raise AssertionError("window sweep disagrees with its size table")
+            chosen.append((left, right, cliq))
+            j = prev
+        else:
+            j -= 1
+
+    for (l1, r1, _), (l2, r2, _) in zip(chosen, chosen[1:]):
+        if not (r2 < l1 or r1 < l2):
+            raise AssertionError("chosen windows overlap")
+    out = vset(v for _, _, cliq in chosen for v in cliq)
+    _verify_reference(m, out, CLUSTER)
+    return out
+
+
+def max_complete_split_subgraph_reference(m: IntervalModel) -> VertexSet:
+    """Largest vertex set inducing a complete split graph: every extreme
+    pair (alpha, beta) over a greedy chain built once per alpha, with the
+    intervals through alpha sorted afresh per alpha."""
+    m, lo, hi = _prepared_reference(m)
+    best = max_clique_window(m, 1, 2 * m.n)  # the ranks span 1..2n
+    by_right = sorted(range(m.n), key=hi.__getitem__)
+    for vl in range(m.n):
+        alpha = hi[vl]
+        chain, chain_ends = [], []
+        for v in by_right:
+            if lo[v] > (chain_ends[-1] if chain_ends else alpha):
+                chain.append(v)
+                chain_ends.append(hi[v])
+        through = sorted((v for v in range(m.n) if lo[v] < alpha), key=lambda v: -hi[v])
+        through_ends = [-hi[v] for v in through]
+        for vr in range(m.n):
+            beta = lo[vr]
+            if alpha >= beta:
+                continue
+            n_cliq = bisect_right(through_ends, -beta)
+            n_mis = bisect_left(chain_ends, beta)
+            if n_cliq + 2 + n_mis < len(best):
+                continue
+            cand = vset(through[:n_cliq] + [vl, vr] + chain[:n_mis])
+            if len(cand) > len(best) or cand < best:
+                best = cand
+    _verify_reference(m, best, COMPLETE_SPLIT)
+    return best

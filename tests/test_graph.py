@@ -10,8 +10,10 @@ from chordel import (
     connected_components,
     delete_vertices,
     from_graph6,
+    induced_subgraph,
     is_clique,
     is_independent,
+    model_to_graph,
     parse_edge_list,
     sniff_and_parse,
     to_graph6,
@@ -39,6 +41,44 @@ def test_graph_invariants_enforced():
         Graph.from_edges(2, [(0, 5)])
     with pytest.raises(GraphInputError):
         Graph(2, (frozenset({1}), frozenset()))
+    with pytest.raises(GraphInputError):
+        Graph.from_edges(-1, [])
+
+
+def _checked(g: Graph) -> None:
+    """A graph a builder made without `Graph`'s validation passes it."""
+    assert type(g.adj) is tuple and all(type(s) is frozenset for s in g.adj)
+    assert Graph(g.n, g.adj) == g
+
+
+def _check_builders(g: Graph, rng: random.Random) -> None:
+    """Every builder that skips the validation, run on g."""
+    _checked(g)
+    _checked(Graph.from_edges(g.n, g.edges()))
+    _checked(complement(g))
+    _checked(disjoint_union(g, complement(g)))
+    gone = [v for v in g.vertices() if rng.random() < 0.5]
+    _checked(delete_vertices(g, gone)[0])
+    _checked(induced_subgraph(g, gone)[0])
+
+
+def test_built_graphs_pass_the_full_validation():
+    """`from_edges`, `complement`, `disjoint_union`, `delete_vertices`,
+    `induced_subgraph` and `model_to_graph` build adjacency that is valid by
+    construction and skip the check; the check runs here instead, on every
+    labelled graph with at most 6 vertices, seeded generator graphs and
+    seeded interval models."""
+    rng = random.Random(0)
+    for n in range(7):
+        for _, g in bf.labelled_graphs(n):
+            _check_builders(g, rng)
+    for make in SEEDED.values():
+        for n in (16, 64):
+            for seed in range(3):
+                _check_builders(make(n, seed), rng)
+    for n in (0, 1, 7, 40):
+        for seed in range(20):
+            _checked(model_to_graph(randgen.gen_interval_model(n, seed)))
 
 
 def test_delete_vertices_examples():

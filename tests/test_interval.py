@@ -20,6 +20,7 @@ from chordel import (
     recognize,
     write_interval_model,
 )
+from chordel.interval import _prepared, _window_sizes
 from chordel.randgen import gen_interval_model, gen_threshold
 from chordel.reductions import bowtie_model, threshold_interval_model
 
@@ -89,6 +90,52 @@ def test_endpoints_are_ints_unless_fractional():
         bowtie_model(g1, g2),
     ):
         assert set(types(m)) == {int}
+
+
+ENDPOINT_TOKENS = ["0", "007", "-0", "+3", "-5", "3/1", "4/2", "1.5", "1_0", "\u0663", "\u00b2", "1e9"]
+
+
+def _read(parse, text):
+    """(model, labels) or the refusal message, whichever `parse` gives."""
+    try:
+        return parse(text)
+    except GraphInputError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("tok", ENDPOINT_TOKENS)
+def test_endpoint_tokens_read_as_the_reference_reads_them(tok):
+    """Integral tokens take the int path and the rest go through Fraction,
+    with the reference's values, types and refusals.  `str.isdigit` would
+    accept the superscript two, which int refuses; an exponent is refused
+    on purpose, where the reference reads it."""
+    text = f"a {tok} 10000000000\nb -7 {tok}\n"
+    got = _read(parse_interval_model, text)
+    want = _read(bf.parse_interval_model_reference, text)
+    if "e" in tok:
+        assert got == f"bad endpoint in 'a {tok} 10000000000'"
+        return
+    assert got == want
+    if isinstance(got, str):
+        return
+    (m, labels), (ref, _) = got, want
+    types = [type(x) for iv in m.intervals for x in iv]
+    assert types == [type(x) for iv in ref.intervals for x in iv]
+    assert all(t is int for t in types) == (F(tok).denominator == 1)
+    text_out = write_interval_model(m, labels)
+    assert text_out == write_interval_model(ref, labels)
+    assert parse_interval_model(text_out) == (m, labels)
+
+
+def test_model_endpoints_keep_fraction_values_and_refusals():
+    """Only a plain int skips `Fraction`; bools, floats, strings and
+    Fractions are read as before, an integral value stored as an int."""
+    m = IntervalModel(((True, 2.5), ("3/2", F(4, 2)), (-0, 7)))
+    assert m.intervals == ((1, F(5, 2)), (F(3, 2), 2), (0, 7))
+    assert [type(x) for iv in m.intervals for x in iv] == [int, F, F, int, int, int]
+    for bad in ((2, 1), ("1/0", 2), ("x", 2), (float("nan"), 1)):
+        with pytest.raises((GraphInputError, ValueError, ZeroDivisionError)):
+            IntervalModel((bad,))
 
 
 def test_max_clique_window():
@@ -182,6 +229,27 @@ def test_showcase_model_complete_split_has_twelve_vertices():
     assert recognize(sub, COMPLETE_SPLIT).member
 
 
+REFERENCE_SIZES = (0, 1, 2, 3, 5, 8, 13, 21, 34, 55, 64)
+
+
+def _same_as_reference(m) -> None:
+    """Window table (tuple for tuple), intersection graph and both solvers'
+    sets equal the reference sweeps'."""
+    _, lo, hi = _prepared(m)
+    table = [(hi[b], lo[a], a, b, size) for b, row in _window_sizes(lo, hi) for a, size in row]
+    assert sorted(table) == sorted(bf.window_sizes_reference(lo, hi))
+    g, ref = model_to_graph(m), bf.model_to_graph_reference(m)
+    assert (g.n, g.adj) == (ref.n, ref.adj)
+    assert max_cluster_subgraph(m) == bf.max_cluster_subgraph_reference(m)
+    assert max_complete_split_subgraph(m) == bf.max_complete_split_subgraph_reference(m)
+
+
+@pytest.mark.parametrize("n", REFERENCE_SIZES)
+def test_interval_sweeps_match_reference_copies_on_seeded_models(n):
+    for seed in range(50):
+        _same_as_reference(gen_interval_model(n, seed))
+
+
 def _mixed_model(seed):
     """Seeded models in four styles: general position, small integer
     endpoints (shared endpoints, touching and point intervals), rational
@@ -219,3 +287,11 @@ def test_interval_solvers_match_reference_sweeps():
             if max(m.left(u), m.left(v)) <= min(m.right(u), m.right(v))
         }
         assert model_to_graph(m).edges() == sorted(edges), seed
+
+
+def test_interval_sweeps_match_reference_copies_on_mixed_models():
+    """Shared and touching endpoints, point intervals, Fraction endpoints,
+    touching chains and the empty model."""
+    _same_as_reference(model())
+    for seed in range(400):
+        _same_as_reference(_mixed_model(seed))
