@@ -95,7 +95,7 @@ def gen_chordal(n: int, seed: int = 0) -> Graph:
             meets |= holders[x]
         bits = bin(meets ^ (1 << i))[:1:-1]  # bit j at index j
         adj.append(frozenset(j for j, c in enumerate(bits) if c == "1"))
-    return Graph(n, tuple(adj))
+    return Graph._built(n, tuple(adj))  # i meets j exactly when j meets i
 
 
 def gen_block(n: int, seed: int = 0) -> Graph:

@@ -1,17 +1,19 @@
 """Solvers driven by decomposition structure rather than matching.
 
 tree->cluster and block->cluster peel the deepest leaf of a rooted forest,
-the forest itself or the block-cut tree of what is left, each rooted by the
-one breadth-first walk `graph.rooted_forest`; chordal->co-chain picks the
-best pair of maximal cliques; chordal->K2-free keeps the perfect-elimination
-greedy's maximum independent set.  The chordal solvers run on the PEO that
-recognition built, `require(g, CHORDAL).peo`.  `_verified` checks every
-deletion set with the recognizer.
+the forest itself or the block-cut tree (built once, its blocks then kept
+as vertex tuples), each component rooted by the one breadth-first walk
+`graph.rooted_forest`; a round re-roots only the pieces it cut off.
+chordal->co-chain picks the best pair of maximal cliques; chordal->K2-free
+keeps the perfect-elimination greedy's maximum independent set.  The
+chordal solvers run on the PEO that recognition built,
+`require(g, CHORDAL).peo`.  `_verified` checks every deletion set with the
+recognizer.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+from heapq import heapify, heappop, heappush
 
 from .graph import (
     DeletionResult,
@@ -19,7 +21,6 @@ from .graph import (
     VertexSet,
     build_block_cut_tree,
     connected_components,
-    delete_vertices,
     induced_subgraph,
     mask,
     rooted_forest,
@@ -37,7 +38,7 @@ from .recognition import (
 
 
 def _verified(g: Graph, deleted: VertexSet, label, method: str) -> DeletionResult:
-    rest, _ = delete_vertices(g, deleted)
+    rest, _ = induced_subgraph(g, set(g.vertices()).difference(deleted))
     if not recognize(rest, label).member:
         raise AssertionError(f"{method} produced an infeasible deletion set")
     return DeletionResult(deleted, label, method)
@@ -47,30 +48,55 @@ def delete_to_cluster_tree(g: Graph) -> DeletionResult:
     """Minimum deletion set turning a forest into a cluster graph.
 
     Each component is rooted at its least vertex.  Repeatedly take the
-    deepest remaining leaf: if its parent has other children the parent is
-    deleted, otherwise the grandparent is; components that are already
-    cliques (at most two vertices) are left alone.
+    deepest remaining leaf, least first: if its parent has other children
+    the parent is deleted, otherwise the grandparent is; components that are
+    already cliques (at most two vertices) are left alone.  A deletion keeps
+    the root, depths and leaves of every other component and of the piece
+    holding the root, whose only change is one child fewer for the victim's
+    parent; so a round re-roots only the pieces cut off below the victim,
+    each at its least vertex.
     """
     if g.m != g.n - len(connected_components(g)):  # a cycle: a hole, or else a triangle
         require(g, CHORDAL)
         require(g, kp_free(3))
     adj = {v: set(g.adj[v]) for v in g.vertices()}
+    parent, depth, kids = rooted_forest(g.vertices(), adj)
+    leaves = [(-depth[v], v) for v in parent if kids[v] == 0]
+    heapify(leaves)
     deleted: list[int] = []
-    while True:
-        parent, depth, kids = rooted_forest(sorted(adj), adj)
-        leaves = [  # the leaves of components with three or more vertices
-            v
-            for v, p in parent.items()
-            if kids[v] == 0 and p is not None and (kids[p] > 1 or parent[p] is not None)
-        ]
-        if not leaves:
-            break
-        p = parent[min(leaves, key=lambda v: (-depth[v], v))]
+    while leaves:
+        d, v = heappop(leaves)
+        p = parent[v]
+        if v not in adj or kids[v] or depth[v] != -d or p is None:
+            continue  # deleted, no longer a leaf, re-rooted since, or a root
+        if kids[p] == 1 and parent[p] is None:
+            continue  # a component of two vertices
         victim = p if kids[p] > 1 else parent[p]
         deleted.append(victim)
-        for u in adj.pop(victim):
+        up = parent[victim]
+        if up is not None:
+            kids[up] -= 1
+            heappush(leaves, (-depth[up], up))
+        for u in adj[victim]:
             adj[u].discard(victim)
+        for u in adj.pop(victim) - {up}:  # root the piece below u at its least vertex
+            rooting = rooted_forest([min(rooted_forest([u], adj)[0])], adj)
+            for table, new in zip((parent, depth, kids), rooting):
+                table.update(new)
+            for w in rooting[0]:
+                if not kids[w]:
+                    heappush(leaves, (-depth[w], w))
     return _verified(g, vset(deleted), CLUSTER, "tree-to-cluster")
+
+
+class _Lookup:
+    """A read-only map whose value for a key `fn` computes on each lookup."""
+
+    def __init__(self, fn) -> None:
+        self.fn = fn
+
+    def __getitem__(self, key):
+        return self.fn(key)
 
 
 def delete_to_cluster_block(g: Graph) -> DeletionResult:
@@ -82,38 +108,82 @@ def delete_to_cluster_block(g: Graph) -> DeletionResult:
     grandparent block has a non-cut vertex, delete v; else delete the whole
     grandparent block except v.  Detached pieces are re-examined on the next
     round; a piece that is a clique is a single block, and has no leaf.
+
+    The tree is built once.  Blocks are cliques, so a deletion only shrinks
+    the blocks holding the vertex; one left with a vertex that lies in
+    another block is gone.  What is left is the old forest less the nodes
+    that went, so a round re-roots only the pieces those nodes cut off, and
+    the root's piece when its root block shrank (another block that shrinks
+    keeps two vertices, so its tuple stays above the root's).
     """
     require(g, BLOCK)
-    alive = list(g.vertices())  # ascending, so vertex i of the rest is alive[i]
-    deleted: list[int] = []
-    while True:
-        bct = build_block_cut_tree(induced_subgraph(g, alive)[0])
-        # renumbering keeps the order, so blocks compare as their vertex tuples
-        blocks = bct.blocks
+    blocks = dict(enumerate(build_block_cut_tree(g).blocks))  # the live ones
+    homes = {v: set() for v in g.vertices()}  # the live blocks holding each vertex
+    for bi, blk in blocks.items():
+        for w in blk:
+            homes[w].add(bi)
 
-        # Rooted forest over block nodes ('b', i) and cut nodes ('c', v).
-        nbrs = defaultdict(list)
-        for bi, v in bct.edges:
-            nbrs[("b", bi)].append(("c", v))
-            nbrs[("c", v)].append(("b", bi))
-        roots = sorted(range(len(blocks)), key=blocks.__getitem__)
-        parent, depth, kids = rooted_forest([("b", bi) for bi in roots], nbrs)
-        leaves = [
-            node
-            for node in parent
-            if node[0] == "b" and kids[node] == 0 and parent[node] is not None
-        ]
-        if not leaves:
-            break
-        cut = parent[min(leaves, key=lambda node: (-depth[node], blocks[node[1]]))]
+    def live(node) -> bool:  # None, or a block ("b", i) or cut vertex ("c", v) node
+        if node is None:
+            return False
+        return node[1] in blocks if node[0] == "b" else len(homes.get(node[1], ())) > 1
+
+    def meets(node) -> list:
+        if node[0] == "b":
+            return [("c", w) for w in blocks[node[1]] if len(homes[w]) > 1]
+        return [("b", bi) for bi in homes[node[1]]]
+
+    nbrs = _Lookup(meets)
+    parent: dict = {}
+    depth: dict = {}
+    leaves: list = []  # (-depth, vertex tuple, block id), checked when popped
+
+    def queue(nodes) -> None:
+        for n in nodes:
+            if n[0] == "b" and n[1] in blocks:
+                heappush(leaves, (-depth[n], blocks[n[1]], n[1]))
+
+    def reroot(seeds) -> None:
+        """Root each piece holding a seed at its least block."""
+        reached: set = set()
+        for seed in seeds:
+            if seed not in reached:
+                piece = rooted_forest([seed], nbrs)[0]
+                reached.update(piece)
+                least = min((n for n in piece if n[0] == "b"), key=lambda n: blocks[n[1]])
+                up, down, kids = rooted_forest([least], nbrs)
+                parent.update(up)
+                depth.update(down)
+                queue(n for n, p in up.items() if p is not None and not kids[n])
+
+    reroot([("b", bi) for bi in blocks])
+    deleted: list[int] = []
+    while leaves:
+        d, blk, bi = heappop(leaves)
+        cut = parent[("b", bi)]
+        if blocks.get(bi) != blk or depth[("b", bi)] != -d or cut is None:
+            continue  # shrunk or gone, re-rooted since, or a root
         v = cut[1]
+        if any(len(homes[w]) > 1 and w != v for w in blk):
+            continue  # it has a child cut vertex
         upper = blocks[parent[cut][1]]
-        if kids[cut] > 1 or not set(upper) <= set(bct.cut_vertices):
-            doomed = {alive[v]}
+        if len(homes[v]) > 2 or any(len(homes[w]) == 1 for w in upper):
+            doomed = [v]
         else:
-            doomed = {alive[w] for w in upper if w != v}
+            doomed = [w for w in upper if w != v]
         deleted.extend(doomed)
-        alive = [x for x in alive if x not in doomed]
+        shrunk = {b for x in doomed for b in homes.pop(x)}
+        for b in shrunk:
+            blocks[b] = tuple(w for w in blocks[b] if w not in doomed)
+        near = [("b", b) for b in shrunk]  # the blocks that shrank, and what gone ones held
+        for b in shrunk:
+            u, *rest = blocks[b]
+            if not rest and len(homes[u]) > 1:  # a lone vertex that lies in another block
+                del blocks[b]
+                homes[u].discard(b)
+                near += [("c", u), *(("b", h) for h in homes[u])]
+        reroot([n for n in near if live(n) and not live(parent[n])])  # cut off, or root shrank
+        queue(near)  # the blocks that shrank or lost a child
     return _verified(g, vset(deleted), CLUSTER, "block-to-cluster")
 
 

@@ -64,10 +64,10 @@ def _check_builders(g: Graph, rng: random.Random) -> None:
 
 def test_built_graphs_pass_the_full_validation():
     """`from_edges`, `complement`, `disjoint_union`, `delete_vertices`,
-    `induced_subgraph` and `model_to_graph` build adjacency that is valid by
-    construction and skip the check; the check runs here instead, on every
-    labelled graph with at most 6 vertices, seeded generator graphs and
-    seeded interval models."""
+    `induced_subgraph`, `model_to_graph` and `gen_chordal` build adjacency
+    that is valid by construction and skip the check; the check runs here
+    instead, on every labelled graph with at most 6 vertices, seeded
+    generator graphs and seeded interval models."""
     rng = random.Random(0)
     for n in range(7):
         for _, g in bf.labelled_graphs(n):

@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 import bruteforce as bf
 import named_graphs as ng
 from chordel import (
+    BLOCK,
     CLUSTER,
     CO_CHAIN,
     Graph,
@@ -14,6 +16,7 @@ from chordel import (
     delete_to_cluster_tree,
     delete_to_cochain_chordal,
     delete_vertices,
+    kp_free,
     list_maximal_cliques_chordal,
     max_independent_set_chordal,
     oracle_min_deletion,
@@ -137,17 +140,25 @@ def test_block_cluster_size_invariant_under_relabeling():
         assert delete_to_cluster_block(h).size == base
 
 
+@functools.cache
+def labelled_block_graphs() -> list[Graph]:
+    """Every labelled block graph on at most 6 vertices."""
+    return [g for n in range(7) for _, g in bf.labelled_graphs(n) if recognize(g, BLOCK).member]
+
+
 @pytest.mark.parametrize(
-    "gen,solve,reference",
+    "gen,solve,reference,labels",
     [
-        (gen_tree, delete_to_cluster_tree, bf.tree_cluster_deleted),
-        (gen_block, delete_to_cluster_block, bf.block_cluster_deleted),
+        (gen_tree, delete_to_cluster_tree, bf.tree_cluster_deleted, (kp_free(3),)),
+        (gen_block, delete_to_cluster_block, bf.block_cluster_deleted, ()),
     ],
     ids=["tree", "block"],
 )
-def test_peel_matches_reference(gen, solve, reference):
+def test_peel_matches_reference(gen, solve, reference, labels):
     """The deleted set, tie-breaks included, equals the reference peel's on
-    every seeded instance with n < 60, and on relabelled forests of two."""
+    every seeded instance with n < 60, on relabelled forests of two, on
+    every labelled member (a forest is a triangle-free block graph) with at
+    most 6 vertices, and on seeds 0-2 at n = 128 and 256."""
     for seed in range(30):
         for n in range(60):
             g = gen(n, seed)
@@ -157,6 +168,28 @@ def test_peel_matches_reference(gen, solve, reference):
         perm = random.Random(seed).sample(range(g.n), g.n)
         h = Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
         assert solve(h).deleted == reference(h), seed
+    for g in labelled_block_graphs():
+        if all(recognize(g, label).member for label in labels):
+            assert solve(g).deleted == reference(g), g.edges()
+    for n in (128, 256):
+        for seed in range(3):
+            g = gen(n, seed)
+            assert solve(g).deleted == reference(g), (n, seed)
+
+
+def test_tree_cluster_reroots_a_cut_off_piece():
+    """After 2 goes, the star 7-5, 7-8 is re-rooted at 5, so its deepest
+    leaf is 8 and the grandparent 5 goes; the first rooting would delete 7."""
+    g = Graph.from_edges(9, [(0, 1), (1, 2), (2, 3), (3, 4), (2, 7), (7, 5), (7, 8), (0, 6)])
+    assert delete_to_cluster_tree(g).deleted == (0, 2, 5)
+    assert bf.tree_cluster_deleted(g) == (0, 2, 5)
+
+
+def test_block_cluster_reroots_when_the_root_block_shrinks():
+    """A peel that kept the first round's root keys would give (0, 4)."""
+    g = Graph.from_edges(7, [(0, 3), (0, 4), (0, 6), (1, 6), (2, 3), (3, 4), (4, 5)])
+    assert delete_to_cluster_block(g).deleted == (0, 3)
+    assert bf.block_cluster_deleted(g) == (0, 3)
 
 
 def test_maximal_cliques_examples():
