@@ -200,6 +200,8 @@ def _cmd_solve(args, fmt: str) -> int:
         raise GraphInputError(f"{problem} takes --model, not graph files")
     if args.model and not on_model:
         raise GraphInputError(f"--model is only for {' and '.join(_MODEL_SOLVERS)}")
+    if args.p is not None and problem != "chordal-to-kp":
+        raise GraphInputError("--p is only for chordal-to-kp")
     for path in [args.model] if on_model else args.inputs:
         instance, labels = _load(path, parse_interval_model if on_model else sniff_and_parse)
         g = model_to_graph(instance) if on_model else instance
@@ -307,6 +309,9 @@ def _cmd_generate(args, fmt: str) -> int:
     if n < 0:
         raise GraphInputError(f"--n must be at least 0, got {n}")
     check_vertex_cap(n)
+    for flag, value in (("--edge-bias", args.edge_bias), ("--p-edge", args.p_edge)):
+        if not 0 <= value <= 1:  # NaN fails too
+            raise GraphInputError(f"{flag} must be in [0, 1], got {value}")
     comments = (f"generated class={name} n={n} seed={seed}",)
     if name == "interval-model":
         model = randgen.gen_interval_model(n, seed)

@@ -157,10 +157,10 @@ def complement(g: Graph) -> Graph:
 
 
 def rooted_forest(roots, nbrs) -> tuple[dict, dict, dict]:
-    """Breadth-first forest over `nbrs[node]`, grown from each of `roots` not
-    yet reached, in order: the parent (None at a root), depth and child count
-    of every node reached.  The parent map lists each tree in visiting order,
-    root first."""
+    """Breadth-first forest grown from each of `roots` not yet reached, in
+    order, where `nbrs(node)` gives a node's neighbours in visiting order:
+    the parent (None at a root), depth and child count of every node
+    reached.  The parent map lists each tree in visiting order, root first."""
     parent: dict = {}
     depth: dict = {}
     kids: dict = {}
@@ -170,7 +170,7 @@ def rooted_forest(roots, nbrs) -> tuple[dict, dict, dict]:
         parent[root], depth[root], kids[root] = None, 0, 0
         queue = [root]
         for node in queue:  # the list grows while it is walked: a FIFO queue
-            for nxt in nbrs[node]:
+            for nxt in nbrs(node):
                 if nxt not in parent:
                     parent[nxt], depth[nxt], kids[nxt] = node, depth[node] + 1, 0
                     kids[node] += 1
@@ -182,7 +182,7 @@ def connected_components(g: Graph) -> list[VertexSet]:
     """Partition into maximal connected vertex sets, each ascending: the trees
     of the breadth-first forest rooted at each least unreached vertex."""
     trees: list[list[int]] = []
-    for v, p in rooted_forest(g.vertices(), g.adj)[0].items():
+    for v, p in rooted_forest(g.vertices(), g.adj.__getitem__)[0].items():
         if p is None:
             trees.append([])
         trees[-1].append(v)
@@ -216,7 +216,8 @@ def add_edges(g: Graph, extra: Iterable[tuple[int, int]]) -> Graph:
 
 
 def bipartition_classes(g: Graph) -> tuple[VertexSet, VertexSet] | None:
-    """Two-color g by BFS; None when some component has an odd cycle."""
+    """Two-colour g by a stack walk of its own, which stops at the first odd
+    edge, unlike `rooted_forest`; None when some component has an odd cycle."""
     color = [-1] * g.n
     for start in g.vertices():
         if color[start] != -1:

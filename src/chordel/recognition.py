@@ -30,6 +30,7 @@ from typing import Iterable
 
 from . import patterns
 from .graph import (
+    BlockCutTree,
     Graph,
     VertexSet,
     bipartition_classes,
@@ -38,6 +39,7 @@ from .graph import (
     is_clique,
     is_independent,
     mask,
+    rooted_forest,
     vset,
 )
 
@@ -266,23 +268,13 @@ def find_hole(g: Graph) -> tuple[int, ...] | None:
             for w in nbrs[i + 1 :]:
                 if g.has_edge(u, w):
                     continue
-                prev = {u: None}
-                queue = [u]
-                while queue:
-                    nxt = []
-                    for x in queue:
-                        for y in sorted(g.adj[x]):
-                            if y in prev or (y in banned and y != w):
-                                continue
-                            prev[y] = x
-                            nxt.append(y)
-                    queue = nxt
+                prev = rooted_forest(
+                    [u], lambda x: [y for y in sorted(g.adj[x]) if y == w or y not in banned]
+                )[0]
                 if w in prev:
-                    path = []
-                    cur: int | None = w
-                    while cur is not None:
-                        path.append(cur)
-                        cur = prev[cur]
+                    path = [w]
+                    while prev[path[-1]] is not None:
+                        path.append(prev[path[-1]])
                     return tuple([v] + path[::-1])
     return None
 
@@ -496,6 +488,12 @@ def _first_obstruction(g: Graph, names: tuple[str, ...], known: dict) -> Verdict
     return Verdict(True)
 
 
+def blocks_are_cliques(g: Graph, tree: BlockCutTree) -> bool:
+    """The block certificate: every biconnected component of g, the blocks
+    of its block-cut tree, is a clique."""
+    return sum(len(b) * (len(b) - 1) for b in tree.blocks) // 2 == g.m
+
+
 def _certified(g: Graph, name: str, known: dict) -> bool | None:
     """Certificate checked before the obstruction search: True or False for
     a class that has one, None for a class that has none."""
@@ -526,9 +524,8 @@ def _certified(g: Graph, name: str, known: dict) -> bool | None:
         co = complement(g)
         sides = known["co-bipartite"] = bipartition_classes(co)
         return sides is not None and nested_by_degree(co, sides[0]) is not None
-    if name == "block":  # every biconnected component is a clique
-        blocks = build_block_cut_tree(g).blocks
-        return sum(len(b) * (len(b) - 1) for b in blocks) // 2 == g.m
+    if name == "block":
+        return blocks_are_cliques(g, build_block_cut_tree(g))
     return None
 
 

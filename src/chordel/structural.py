@@ -1,9 +1,12 @@
 """Solvers driven by decomposition structure rather than matching.
 
 tree->cluster and block->cluster peel the deepest leaf of a rooted forest,
-the forest itself or the block-cut tree (built once, its blocks then kept
-as vertex tuples), each component rooted by the one breadth-first walk
-`graph.rooted_forest`; a round re-roots only the pieces it cut off.
+the forest itself or the block-cut tree, each component rooted by the one
+breadth-first walk `graph.rooted_forest`, which reads the forest's
+adjacency or the tree nodes' `meets`; a round re-roots only the pieces it
+cut off.  The forest test counts the roots of the first rooting; the
+block-cut tree is built once per solve, and its blocks, kept as vertex
+tuples, are the block certificate (`recognition.blocks_are_cliques`).
 chordal->co-chain picks the best pair of maximal cliques; chordal->K2-free
 keeps the perfect-elimination greedy's maximum independent set.  The
 chordal solvers run on the PEO that recognition built,
@@ -20,7 +23,6 @@ from .graph import (
     Graph,
     VertexSet,
     build_block_cut_tree,
-    connected_components,
     induced_subgraph,
     mask,
     rooted_forest,
@@ -31,6 +33,7 @@ from .recognition import (
     CHORDAL,
     CLUSTER,
     CO_CHAIN,
+    blocks_are_cliques,
     kp_free,
     recognize,
     require,
@@ -56,11 +59,11 @@ def delete_to_cluster_tree(g: Graph) -> DeletionResult:
     parent; so a round re-roots only the pieces cut off below the victim,
     each at its least vertex.
     """
-    if g.m != g.n - len(connected_components(g)):  # a cycle: a hole, or else a triangle
+    adj = {v: set(g.adj[v]) for v in g.vertices()}
+    parent, depth, kids = rooted_forest(g.vertices(), adj.__getitem__)
+    if g.m != g.n - list(parent.values()).count(None):  # a cycle: a hole, or a triangle
         require(g, CHORDAL)
         require(g, kp_free(3))
-    adj = {v: set(g.adj[v]) for v in g.vertices()}
-    parent, depth, kids = rooted_forest(g.vertices(), adj)
     leaves = [(-depth[v], v) for v in parent if kids[v] == 0]
     heapify(leaves)
     deleted: list[int] = []
@@ -80,23 +83,14 @@ def delete_to_cluster_tree(g: Graph) -> DeletionResult:
         for u in adj[victim]:
             adj[u].discard(victim)
         for u in adj.pop(victim) - {up}:  # root the piece below u at its least vertex
-            rooting = rooted_forest([min(rooted_forest([u], adj)[0])], adj)
+            piece = rooted_forest([u], adj.__getitem__)[0]
+            rooting = rooted_forest([min(piece)], adj.__getitem__)
             for table, new in zip((parent, depth, kids), rooting):
                 table.update(new)
             for w in rooting[0]:
                 if not kids[w]:
                     heappush(leaves, (-depth[w], w))
     return _verified(g, vset(deleted), CLUSTER, "tree-to-cluster")
-
-
-class _Lookup:
-    """A read-only map whose value for a key `fn` computes on each lookup."""
-
-    def __init__(self, fn) -> None:
-        self.fn = fn
-
-    def __getitem__(self, key):
-        return self.fn(key)
 
 
 def delete_to_cluster_block(g: Graph) -> DeletionResult:
@@ -116,8 +110,10 @@ def delete_to_cluster_block(g: Graph) -> DeletionResult:
     the root's piece when its root block shrank (another block that shrinks
     keeps two vertices, so its tuple stays above the root's).
     """
-    require(g, BLOCK)
-    blocks = dict(enumerate(build_block_cut_tree(g).blocks))  # the live ones
+    tree = build_block_cut_tree(g)
+    if not blocks_are_cliques(g, tree):
+        require(g, BLOCK)  # raises with the hole or diamond
+    blocks = dict(enumerate(tree.blocks))  # the live ones
     homes = {v: set() for v in g.vertices()}  # the live blocks holding each vertex
     for bi, blk in blocks.items():
         for w in blk:
@@ -133,7 +129,6 @@ def delete_to_cluster_block(g: Graph) -> DeletionResult:
             return [("c", w) for w in blocks[node[1]] if len(homes[w]) > 1]
         return [("b", bi) for bi in homes[node[1]]]
 
-    nbrs = _Lookup(meets)
     parent: dict = {}
     depth: dict = {}
     leaves: list = []  # (-depth, vertex tuple, block id), checked when popped
@@ -148,10 +143,10 @@ def delete_to_cluster_block(g: Graph) -> DeletionResult:
         reached: set = set()
         for seed in seeds:
             if seed not in reached:
-                piece = rooted_forest([seed], nbrs)[0]
+                piece = rooted_forest([seed], meets)[0]
                 reached.update(piece)
                 least = min((n for n in piece if n[0] == "b"), key=lambda n: blocks[n[1]])
-                up, down, kids = rooted_forest([least], nbrs)
+                up, down, kids = rooted_forest([least], meets)
                 parent.update(up)
                 depth.update(down)
                 queue(n for n, p in up.items() if p is not None and not kids[n])

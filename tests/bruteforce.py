@@ -577,6 +577,45 @@ def find_clique_of_size_reference(g: Graph, p: int) -> VertexSet | None:
     return None
 
 
+# The hole search as it was before its shortest u-w path came from
+# `graph.rooted_forest`: a hand-written layered breadth-first walk.  Body
+# unchanged; `test_find_hole_matches_reference` holds the library to it.
+
+
+def find_hole_reference(g: Graph) -> tuple[int, ...] | None:
+    """Some induced cycle of length >= 4, in cycle order, or None.
+
+    A hole exists iff some induced path u-v-w extends to a u-w path through
+    non-neighbors of v; the shortest such path plus v is chordless.
+    """
+    for v in g.vertices():
+        nbrs = sorted(g.adj[v])
+        banned = g.closed_neighborhood(v)
+        for i, u in enumerate(nbrs):
+            for w in nbrs[i + 1 :]:
+                if g.has_edge(u, w):
+                    continue
+                prev = {u: None}
+                queue = [u]
+                while queue:
+                    nxt = []
+                    for x in queue:
+                        for y in sorted(g.adj[x]):
+                            if y in prev or (y in banned and y != w):
+                                continue
+                            prev[y] = x
+                            nxt.append(y)
+                    queue = nxt
+                if w in prev:
+                    path = []
+                    cur: int | None = w
+                    while cur is not None:
+                        path.append(cur)
+                        cur = prev[cur]
+                    return tuple([v] + path[::-1])
+    return None
+
+
 def tree_cluster_deleted(g: Graph) -> tuple:
     """Reference tree -> cluster peel: every round re-roots each component
     at its least vertex by its own breadth-first search and deletes the

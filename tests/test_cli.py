@@ -173,6 +173,17 @@ def test_generate_negative_n_exits_2(klass, capsys):
     assert out.out == "" and out.err == "error: --n must be at least 0, got -1\n"
 
 
+@pytest.mark.parametrize("value", ["-0.1", "1.5", "nan"])
+@pytest.mark.parametrize("flag,klass", [("--edge-bias", "split"), ("--p-edge", "bipartite")])
+def test_generate_probability_outside_0_1_exits_2(flag, klass, value, capsys, tmp_path):
+    out = tmp_path / "never.el"
+    argv = ["generate", "--class", klass, "--n", "6", flag, value, "--output", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err == f"error: {flag} must be in [0, 1], got {float(value)}\n"
+
+
 def cap_error(n: int) -> str:
     return f"error: n = {n} is above the vertex cap {MAX_VERTICES}\n"
 
@@ -431,6 +442,18 @@ def test_model_problem_rejects_graph_files(files, capsys, tmp_path):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert "interval-to-cluster takes --model, not graph files" in captured.err
+
+
+@pytest.mark.parametrize(
+    "problem", ["split-to-cluster", "block-to-cluster", "chordal-to-split"]
+)
+def test_p_is_only_for_chordal_to_kp(problem, files, capsys):
+    missing = str(files["dir"] / "missing.el")  # refused before any file is read
+    for path in (files["p3"], missing):
+        assert main(["solve", "--problem", problem, "--p", "7", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --p is only for chordal-to-kp\n"
 
 
 @pytest.mark.parametrize(

@@ -313,6 +313,24 @@ def test_asteroidal_triple_matches_reference_on_disjoint_unions():
         assert find_asteroidal_triple(g) == bf.asteroidal_triple_reference(g)
 
 
+def test_find_hole_matches_reference():
+    """The shortest u-w path read off `rooted_forest` gives the layered
+    walk's hole, tuple for tuple: on every labelled graph with at most 6
+    vertices and its complement, on disjoint unions, and on seeded bipartite
+    and random graphs at n = 16-64."""
+    for n in range(7):
+        for _, g in bf.labelled_graphs(n):
+            for h in (g, complement(g)):
+                assert find_hole(h) == bf.find_hole_reference(h), h.edges()
+    for g in bf.disjoint_unions():
+        assert find_hole(g) == bf.find_hole_reference(g), g.edges()
+    for n in (16, 32, 64):
+        for seed in range(5):
+            for g in (gen_bipartite(n, 0.1, seed)[0], gen_bipartite(n, 0.5, seed)[0],
+                      *(random_graph(n, p, seed) for p in (0.05, 0.1, 0.3, 0.7))):
+                assert find_hole(g) == bf.find_hole_reference(g), (n, seed, g.edges())
+
+
 # ---------------------------------------------------------- pattern search
 
 

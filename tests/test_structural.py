@@ -121,6 +121,23 @@ def test_block_cluster_rejects_non_block():
     assert info.value.witness_name == "hole"
 
 
+def test_block_solve_builds_the_block_cut_tree_once(monkeypatch):
+    """The solver's own tree is also the block certificate: one build per
+    solve, counted through structural's binding and recognition's."""
+    from chordel import recognition, structural
+
+    calls = []
+
+    def counted(g):
+        calls.append(g.n)
+        return build_block_cut_tree(g)
+
+    for module in (structural, recognition):
+        monkeypatch.setattr(module, "build_block_cut_tree", counted)
+    delete_to_cluster_block(gen_block(64, 1))
+    assert calls == [64]
+
+
 def test_block_cluster_matches_oracle():
     for seed in range(80):
         g = gen_block(10, seed)
