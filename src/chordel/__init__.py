@@ -14,7 +14,6 @@ from .graph import (
     VertexSet,
     build_block_cut_tree,
     complement,
-    connected_components,
     delete_vertices,
     induced_subgraph,
     is_clique,
@@ -65,7 +64,6 @@ from .recognition import (
     split_partition,
 )
 from .reductions import (
-    ThresholdCreation,
     bowtie,
     bowtie_model,
     reduce_chain_to_threshold,

@@ -269,6 +269,9 @@ def _write_output(path: str | None, text: str, record: dict, g: Graph, fmt: str)
 
 def _cmd_reduce(args, fmt: str) -> int:
     pair = (args.source, args.target)
+    for flag, value in (("--pattern", args.pattern), ("--anchor", args.anchor)):
+        if value is not None and pair != ("vc", "f-free"):
+            raise GraphInputError(f"{flag} is only for --from vc --to f-free")
     path = args.input
     g, labels = _load(path, sniff_and_parse)
     comments = [f"reduction {args.source} -> {args.target}", f"source {path}"]
@@ -309,22 +312,29 @@ def _cmd_generate(args, fmt: str) -> int:
     if n < 0:
         raise GraphInputError(f"--n must be at least 0, got {n}")
     check_vertex_cap(n)
-    for flag, value in (("--edge-bias", args.edge_bias), ("--p-edge", args.p_edge)):
+    p = 0.5  # the edge probability of split and bipartite unless its flag is given
+    for flag, value, owner in (("--edge-bias", args.edge_bias, "split"),
+                               ("--p-edge", args.p_edge, "bipartite")):
+        if value is None:
+            continue
+        if name != owner:
+            raise GraphInputError(f"{flag} is only for --class {owner}")
         if not 0 <= value <= 1:  # NaN fails too
             raise GraphInputError(f"{flag} must be in [0, 1], got {value}")
+        p = value
     comments = (f"generated class={name} n={n} seed={seed}",)
     if name == "interval-model":
         model = randgen.gen_interval_model(n, seed)
         g, text = model_to_graph(model), write_interval_model(model)
     elif name == "split":
-        g = randgen.gen_split(n, args.edge_bias, seed)
+        g = randgen.gen_split(n, p, seed)
     elif name == "threshold":
-        g, creation = randgen.gen_threshold(n, seed)
-        comments += ("creation " + " ".join(creation.roles),)
+        g, roles = randgen.gen_threshold(n, seed)
+        comments += ("creation " + " ".join(roles),)
     elif name in ("chordal", "block", "tree"):
         g = getattr(randgen, f"gen_{name}")(n, seed)
     elif name == "bipartite":
-        g, sides = randgen.gen_bipartite(n, args.p_edge, seed)
+        g, sides = randgen.gen_bipartite(n, p, seed)
         comments += (
             "left " + " ".join(map(str, sides.left)),
             "right " + " ".join(map(str, sides.right)),
@@ -465,9 +475,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--class", dest="klass", required=True)
     p_gen.add_argument("--n", type=int, required=True)
     p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--edge-bias", type=float, default=0.5)
-    p_gen.add_argument("--p-edge", type=float, default=0.5,
-                       help="edge probability for bipartite")
+    p_gen.add_argument("--edge-bias", type=float, help="cross-edge probability for split (0.5)")
+    p_gen.add_argument("--p-edge", type=float, help="edge probability for bipartite (0.5)")
     p_gen.add_argument("--output", help="write the instance here")
 
     p_self = sub.add_parser("selftest", help="seeded property suites")

@@ -178,17 +178,6 @@ def rooted_forest(roots, nbrs) -> tuple[dict, dict, dict]:
     return parent, depth, kids
 
 
-def connected_components(g: Graph) -> list[VertexSet]:
-    """Partition into maximal connected vertex sets, each ascending: the trees
-    of the breadth-first forest rooted at each least unreached vertex."""
-    trees: list[list[int]] = []
-    for v, p in rooted_forest(g.vertices(), g.adj.__getitem__)[0].items():
-        if p is None:
-            trees.append([])
-        trees[-1].append(v)
-    return [vset(tree) for tree in trees]
-
-
 def is_clique(g: Graph, s: Iterable[int]) -> bool:
     ss = check_vertex_set(g, s)
     return all(g.has_edge(u, v) for i, u in enumerate(ss) for v in ss[i + 1 :])

@@ -3,7 +3,9 @@
 Membership is guaranteed by construction (clique plus independent set,
 creation sequences, subtree intersection, trees of cliques), so the class
 recognizers and the generators validate each other in the test suite.
-Identical seeds give identical instances.
+Identical seeds give identical instances.  `gen_threshold` returns its
+creation sequence with the graph, and `gen_bipartite` its two sides.
+Nothing here comes from `reductions`, whose builders these instances check.
 
 Cost, besides building the graph in O(n + m):
 - gen_split, gen_bipartite: O(n^2), one draw per clique-independent or
@@ -22,7 +24,6 @@ from bisect import bisect_left, insort
 from .graph import Graph
 from .interval import IntervalModel
 from .matching import Bipartition
-from .reductions import ThresholdCreation
 
 
 def gen_split(n: int, edge_bias: float = 0.5, seed: int = 0) -> Graph:
@@ -39,11 +40,13 @@ def gen_split(n: int, edge_bias: float = 0.5, seed: int = 0) -> Graph:
     return Graph.from_edges(n, edges)
 
 
-def gen_threshold(n: int, seed: int = 0) -> tuple[Graph, ThresholdCreation]:
+def gen_threshold(n: int, seed: int = 0) -> tuple[Graph, tuple[str, ...]]:
+    """A random creation sequence and its graph: vertex i joins either
+    isolated or dominating every vertex before it."""
     rng = random.Random(seed)
     roles = tuple(rng.choice(("isolated", "dominating")) for _ in range(n))
-    creation = ThresholdCreation(roles)
-    return creation.graph(), creation
+    edges = [(j, i) for i, role in enumerate(roles) if role == "dominating" for j in range(i)]
+    return Graph.from_edges(n, edges), roles
 
 
 def gen_interval_model(n: int, seed: int = 0) -> IntervalModel:

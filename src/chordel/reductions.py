@@ -10,8 +10,6 @@ pattern-copy gadget reducing vertex cover to pattern-free deletion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .graph import (
     Graph,
     GraphInputError,
@@ -34,44 +32,6 @@ from .recognition import (
     recognize,
     require,
 )
-
-
-@dataclass(frozen=True)
-class ThresholdCreation:
-    """Creation sequence of a threshold graph plus a realizing weighting.
-
-    Vertex i is added at step i, either isolated or dominating everything
-    before it.  Weights are signed powers of two, so adjacency holds exactly
-    when f(u) + f(v) >= t with t = 1.
-    """
-
-    roles: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        for role in self.roles:
-            if role not in ("isolated", "dominating"):
-                raise ValueError(f"bad creation role {role!r}")
-
-    @property
-    def n(self) -> int:
-        return len(self.roles)
-
-    @property
-    def threshold(self) -> int:
-        return 1
-
-    def weight(self, v: int) -> int:
-        sign = 1 if self.roles[v] == "dominating" else -1
-        return sign * (1 << (v + 1))
-
-    def graph(self) -> Graph:
-        edges = [
-            (j, i)
-            for i, role in enumerate(self.roles)
-            if role == "dominating"
-            for j in range(i)
-        ]
-        return Graph.from_edges(self.n, edges)
 
 
 def _raw_threshold_intervals(

@@ -164,9 +164,12 @@ def test_generate_interval_model(capsys):
     assert model.n == 5
 
 
-@pytest.mark.parametrize(
-    "klass", ["split", "threshold", "chordal", "block", "tree", "bipartite", "interval-model"]
-)
+GENERATOR_CLASSES = ["split", "threshold", "chordal", "block", "tree", "bipartite",
+                     "interval-model"]
+PROBABILITY_FLAGS = {"--edge-bias": "split", "--p-edge": "bipartite"}
+
+
+@pytest.mark.parametrize("klass", GENERATOR_CLASSES)
 def test_generate_negative_n_exits_2(klass, capsys):
     assert main(["generate", "--class", klass, "--n", "-1", "--seed", "1"]) == 2
     out = capsys.readouterr()
@@ -182,6 +185,46 @@ def test_generate_probability_outside_0_1_exits_2(flag, klass, value, capsys, tm
     captured = capsys.readouterr()
     assert captured.out == "" and not out.exists()
     assert captured.err == f"error: {flag} must be in [0, 1], got {float(value)}\n"
+
+
+@pytest.mark.parametrize("flag,klass", [
+    (flag, klass) for flag, owner in PROBABILITY_FLAGS.items()
+    for klass in GENERATOR_CLASSES if klass != owner
+])
+def test_generate_flag_of_another_class_exits_2(flag, klass, capsys, tmp_path):
+    out = tmp_path / "never.el"
+    argv = ["generate", "--class", klass, "--n", "4", flag, "0.3", "--output", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err == f"error: {flag} is only for --class {PROBABILITY_FLAGS[flag]}\n"
+
+
+@pytest.mark.parametrize("flag", PROBABILITY_FLAGS)
+def test_generate_default_probability_is_one_half(flag, capsys):
+    """An omitted --edge-bias or --p-edge draws as the flag at 0.5 does."""
+    base = ["generate", "--class", PROBABILITY_FLAGS[flag], "--n", "12", "--seed", "3"]
+    assert main(base) == 0
+    omitted = capsys.readouterr().out
+    assert main([*base, flag, "0.5"]) == 0
+    assert capsys.readouterr().out == omitted
+
+
+def test_generate_threshold_writes_its_creation_sequence(capsys):
+    """For u < v, the written graph has edge uv exactly when the `# creation`
+    line names v dominating."""
+    for n in range(13):
+        for seed in range(5):
+            argv = ["generate", "--class", "threshold", "--n", str(n), "--seed", str(seed)]
+            assert main(argv) == 0
+            text = capsys.readouterr().out
+            (line,) = [x for x in text.splitlines() if x.startswith("# creation")]
+            roles = line.split()[2:]
+            assert len(roles) == n and set(roles) <= {"isolated", "dominating"}
+            g, _ = parse_edge_list(text)
+            for u in range(n):
+                for v in range(u + 1, n):
+                    assert g.has_edge(u, v) == (roles[v] == "dominating")
 
 
 def cap_error(n: int) -> str:
@@ -245,6 +288,16 @@ def test_reduce_vc_malformed_anchor_exits_2(anchor, tmp_path, capsys):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err == f"error: --anchor must be two vertex ids 'a,b', got '{anchor}'\n"
+
+
+@pytest.mark.parametrize("flag", ["--pattern", "--anchor"])
+@pytest.mark.parametrize("pair", [("chain", "threshold"), ("threshold", "interval")])
+def test_reduce_pattern_and_anchor_only_for_vc_to_ffree(flag, pair, capsys, tmp_path):
+    """The flag is refused before the input is read: here it does not exist."""
+    argv = ["reduce", "--from", pair[0], "--to", pair[1], flag, "0,1", str(tmp_path / "none.el")]
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == f"error: {flag} is only for --from vc --to f-free\n"
 
 
 def test_reduce_chain_to_threshold(capsys, tmp_path):

@@ -7,7 +7,6 @@ from chordel import (
     Graph,
     GraphInputError,
     complement,
-    connected_components,
     delete_vertices,
     from_graph6,
     induced_subgraph,
@@ -131,29 +130,20 @@ def test_complement_edge_count():
         assert g.m + complement(g).m == 9 * 8 // 2
 
 
-def test_connected_components():
-    assert [len(c) for c in connected_components(pat.two_k2())] == [2, 2]
-    assert [len(c) for c in connected_components(pat.empty_graph(3))] == [1, 1, 1]
-    assert [len(c) for c in connected_components(pat.cycle_graph(4))] == [4]
-
-
 def _same_walks(g, ps) -> None:
-    assert connected_components(g) == bf.connected_components_reference(g)
     assert build_block_cut_tree(g) == bf.build_block_cut_tree_reference(g)
     for p in ps:
         assert find_clique_of_size(g, p) == bf.find_clique_of_size_reference(g, p), p
 
 
 def test_walks_match_reference_on_labelled_graphs():
-    """Components (of the complement too), blocks, cut vertices and the least
-    clique of every size p = 0..n+1 equal the reference walks' on every
-    labelled graph with at most 6 vertices, and on disjoint unions, where the
-    clique search runs on the (p-1)-core."""
+    """Blocks, cut vertices and the least clique of every size p = 0..n+1
+    equal the reference walks' on every labelled graph with at most 6
+    vertices, and on disjoint unions, where the clique search runs on the
+    (p-1)-core."""
     for n in range(7):
         for _, g in bf.labelled_graphs(n):
             _same_walks(g, range(n + 2))
-            co = complement(g)
-            assert connected_components(co) == bf.connected_components_reference(co)
     for g in bf.disjoint_unions():
         _same_walks(g, range(g.n + 2))
 

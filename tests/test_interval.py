@@ -10,7 +10,6 @@ from chordel import (
     COMPLETE_SPLIT,
     GraphInputError,
     IntervalModel,
-    connected_components,
     induced_subgraph,
     max_clique_window,
     max_cluster_subgraph,
@@ -218,7 +217,7 @@ def test_showcase_model_cluster_has_five_cliques():
     g = model_to_graph(SHOWCASE_MODEL)
     sub, _ = induced_subgraph(g, kept)
     assert recognize(sub, CLUSTER).member
-    assert len(connected_components(sub)) == 5
+    assert len(bf.connected_components_reference(sub)) == 5
 
 
 def test_showcase_model_complete_split_has_twelve_vertices():

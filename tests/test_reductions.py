@@ -13,7 +13,6 @@ from chordel import (
     INTERVAL,
     SPLIT,
     THRESHOLD,
-    ThresholdCreation,
     bowtie,
     bowtie_model,
     delete_vertices,
@@ -33,19 +32,14 @@ from chordel.randgen import gen_bipartite, gen_split, gen_threshold
 
 
 def test_threshold_creation_realizes_adjacency():
+    # for u < v, vertex v joined dominating u exactly when it is an edge
     for seed in range(40):
-        g, creation = gen_threshold(8, seed)
+        g, roles = gen_threshold(8, seed)
         assert recognize(g, THRESHOLD).member
-        t = creation.threshold
+        assert len(roles) == g.n and set(roles) <= {"isolated", "dominating"}
         for u in g.vertices():
             for v in range(u + 1, g.n):
-                want = creation.weight(u) + creation.weight(v) >= t
-                assert g.has_edge(u, v) == want
-
-
-def test_threshold_creation_role_validation():
-    with pytest.raises(ValueError):
-        ThresholdCreation(("isolated", "spinning"))
+                assert g.has_edge(u, v) == (roles[v] == "dominating")
 
 
 def test_raw_model_single_edge():
@@ -53,8 +47,7 @@ def test_raw_model_single_edge():
     # the half-integer construction scaled by two
     from chordel import SplitPartition
 
-    creation = ThresholdCreation(("isolated", "dominating"))
-    g = creation.graph()
+    g = Graph.from_edges(2, [(0, 1)])
     raw = _raw_threshold_intervals(g, SplitPartition((1,), (0,)))
     assert raw[0] == (2, 3)  # [1, 1.5] doubled
     assert raw[1] == (2, 6)  # [1, 3] doubled

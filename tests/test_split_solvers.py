@@ -11,7 +11,6 @@ from chordel import (
     UNIT_INTERVAL,
     NotInClassError,
     complement,
-    connected_components,
     delete_to_2k2p3,
     delete_to_cluster_split,
     delete_to_complete_split,
@@ -137,7 +136,7 @@ def test_unit_interval_components_keep_small_independent_side():
         rest, old2new = delete_vertices(g, result.deleted)
         for part in enumerate_split_partitions(g):
             indep_new = {old2new[v] for v in part.independent if v in old2new}
-            for comp in connected_components(rest):
+            for comp in bf.connected_components_reference(rest):
                 assert len(indep_new & set(comp)) <= 3
 
 
