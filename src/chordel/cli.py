@@ -228,8 +228,7 @@ def _verify_result(g: Graph, result: DeletionResult) -> bool:
     rest, _ = delete_vertices(g, result.deleted)
     if not recognize(rest, result.target_class).member:
         return False
-    ground = oracle_min_deletion(g, result.target_class) if g.n <= 12 else result
-    return ground is not None and ground.size == result.size
+    return g.n > 12 or oracle_min_deletion(g, result.target_class, result.size - 1) is None
 
 
 def _cmd_oracle(args, fmt: str) -> int:
@@ -269,6 +268,8 @@ def _write_output(path: str | None, text: str, record: dict, g: Graph, fmt: str)
 
 def _cmd_reduce(args, fmt: str) -> int:
     pair = (args.source, args.target)
+    if pair not in (("chain", "threshold"), ("threshold", "interval"), ("vc", "f-free")):
+        raise GraphInputError(f"unknown reduction {args.source!r} -> {args.target!r}")
     for flag, value in (("--pattern", args.pattern), ("--anchor", args.anchor)):
         if value is not None and pair != ("vc", "f-free"):
             raise GraphInputError(f"{flag} is only for --from vc --to f-free")
@@ -283,7 +284,7 @@ def _cmd_reduce(args, fmt: str) -> int:
     elif pair == ("threshold", "interval"):
         with _witness_in(labels):
             out = reduce_threshold_to_interval(g)
-    elif pair == ("vc", "f-free"):
+    else:  # vc -> f-free
         if not args.pattern:
             raise GraphInputError("vc -> f-free needs --pattern")
         pat, _ = _load(args.pattern, sniff_and_parse)
@@ -297,8 +298,6 @@ def _cmd_reduce(args, fmt: str) -> int:
             anchor = (a, b)
         out = reduce_vc_to_ffree(g, pat, anchor)
         comments.append(f"pattern {args.pattern} anchor {anchor or pat.edges()[0]}")
-    else:
-        raise GraphInputError(f"unknown reduction {args.source!r} -> {args.target!r}")
 
     out_labels = labels + padding_labels(set(labels), "_g", g.n, out.n)
     text = write_edge_list(out, out_labels, comments=tuple(comments))
@@ -309,6 +308,9 @@ def _cmd_reduce(args, fmt: str) -> int:
 
 def _cmd_generate(args, fmt: str) -> int:
     name, n, seed = args.klass, args.n, args.seed
+    if name not in ("split", "threshold", "chordal", "block", "tree", "bipartite",
+                    "interval-model"):
+        raise GraphInputError(f"unknown generator class {name!r}")
     if n < 0:
         raise GraphInputError(f"--n must be at least 0, got {n}")
     check_vertex_cap(n)
@@ -333,14 +335,12 @@ def _cmd_generate(args, fmt: str) -> int:
         comments += ("creation " + " ".join(roles),)
     elif name in ("chordal", "block", "tree"):
         g = getattr(randgen, f"gen_{name}")(n, seed)
-    elif name == "bipartite":
+    else:  # bipartite
         g, sides = randgen.gen_bipartite(n, p, seed)
         comments += (
             "left " + " ".join(map(str, sides.left)),
             "right " + " ".join(map(str, sides.right)),
         )
-    else:
-        raise GraphInputError(f"unknown generator class {name!r}")
     if name != "interval-model":
         text = write_edge_list(g, comments=comments)
     record = {"command": "generate", "class": name, "n": g.n, "m": g.m,

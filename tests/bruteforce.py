@@ -18,15 +18,25 @@ from chordel import (
     SplitPartition,
     induced_subgraph,
 )
-from chordel.graph import BlockCutTree, VertexSet, check_vertex_cap, disjoint_union, vset
+from chordel.graph import (
+    BlockCutTree,
+    DeletionResult,
+    VertexSet,
+    check_vertex_cap,
+    delete_vertices,
+    disjoint_union,
+    vset,
+)
 from chordel.graphio import _g6_size_bytes
 from chordel.interval import IntervalModel, max_clique_window
+from chordel.oracle import ORACLE_CAP, OracleCapError
 from chordel.patterns import cycle_graph
 from chordel.recognition import (
     _PATTERNS,
     CHORDAL,
     CLUSTER,
     COMPLETE_SPLIT,
+    ClassLabel,
     PatternTooLargeError,
     Verdict,
     _find_embedding,
@@ -453,9 +463,10 @@ def remove_clique_edges(g: Graph, part: SplitPartition) -> tuple:
 
 
 # The graph walks as they were before `graph.rooted_forest` and the stacks of
-# iterators: the depth-first component search, the block-cut tree's frame
-# tuples and the clique search's [list, index] frames.  Bodies unchanged;
-# the walk tests and `block_cluster_deleted` hold the library to them.
+# iterators: the block-cut tree's frame tuples and the clique search's
+# [list, index] frames.  Bodies unchanged; the walk tests hold the library to
+# them.  The depth-first component search has no library counterpart left:
+# it is a helper for the tests and for `block_cluster_deleted`.
 
 
 def connected_components_reference(g: Graph) -> list[VertexSet]:
@@ -574,6 +585,29 @@ def find_clique_of_size_reference(g: Graph, p: int) -> VertexSet | None:
         if len(current) == p:
             return tuple(current)
         frames.append([nxt, 0])
+    return None
+
+
+# The exhaustive oracle as it was before it skipped the subsets that delete
+# a vertex but keep an earlier twin.  Body unchanged; the oracle tests hold
+# `oracle_min_deletion` to it.
+
+
+def oracle_min_deletion_reference(
+    g: Graph,
+    label: ClassLabel,
+    k_max: int | None = None,
+    allow_large: bool = False,
+) -> DeletionResult | None:
+    """Smallest deletion set reaching the class, or None if none within k_max."""
+    if g.n > ORACLE_CAP and not allow_large:
+        raise OracleCapError(f"n = {g.n} exceeds the exhaustive cap {ORACLE_CAP}")
+    top = g.n if k_max is None else min(k_max, g.n)
+    for k in range(top + 1):
+        for subset in combinations(g.vertices(), k):
+            rest, _ = delete_vertices(g, subset)
+            if recognize(rest, label).member:
+                return DeletionResult(subset, label, "oracle")
     return None
 
 

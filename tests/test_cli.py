@@ -79,6 +79,33 @@ def test_solve_double_star(files, capsys):
     assert rec["verified"] is True
 
 
+def test_verify_accepts_k0_on_a_member(tmp_path, capsys):
+    path = tmp_path / "cluster.el"
+    path.write_text("3 1\n0 1\n")
+    code, (rec,) = run_records(
+        capsys, ["solve", "--problem", "split-to-cluster", "--verify", str(path)]
+    )
+    assert code == 0 and rec["k"] == 0 and rec["verified"] is True
+
+
+def test_verify_refuses_a_feasible_set_one_above_the_optimum(files, capsys, monkeypatch):
+    """The stand-in deletes an optimal set plus one vertex: the recognizer
+    accepts what is left, and the oracle finds a smaller set."""
+    from chordel import CLUSTER, split_solvers
+    from chordel.graph import vset
+
+    def one_too_many(g):
+        got = split_solvers.delete_to_cluster_split(g)
+        extra = min(set(range(g.n)) - set(got.deleted))
+        return split_solvers._verified(g, vset((*got.deleted, extra)), CLUSTER, "split-to-cluster")
+
+    monkeypatch.setitem(_GRAPH_SOLVERS, "split-to-cluster", one_too_many)
+    code, (rec,) = run_records(
+        capsys, ["solve", "--problem", "split-to-cluster", "--verify", files["dstar"]]
+    )
+    assert code == 0 and rec["k"] == 2 and rec["verified"] is False
+
+
 def test_solve_precondition_failure_exits_1(files, capsys):
     code, recs = run_records(
         capsys, ["solve", "--problem", "split-to-cluster", files["c5"]]
@@ -200,6 +227,16 @@ def test_generate_flag_of_another_class_exits_2(flag, klass, capsys, tmp_path):
     assert captured.err == f"error: {flag} is only for --class {PROBABILITY_FLAGS[flag]}\n"
 
 
+@pytest.mark.parametrize("flags", [["--n", "4", "--edge-bias", "0.3"], ["--n", "-1"]])
+def test_generate_names_an_unknown_class_before_a_flag(flags, capsys, tmp_path):
+    out = tmp_path / "never.el"
+    argv = ["generate", "--class", "nosuch", *flags, "--output", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err == "error: unknown generator class 'nosuch'\n"
+
+
 @pytest.mark.parametrize("flag", PROBABILITY_FLAGS)
 def test_generate_default_probability_is_one_half(flag, capsys):
     """An omitted --edge-bias or --p-edge draws as the flag at 0.5 does."""
@@ -298,6 +335,15 @@ def test_reduce_pattern_and_anchor_only_for_vc_to_ffree(flag, pair, capsys, tmp_
     assert main(argv) == 2
     out = capsys.readouterr()
     assert out.out == "" and out.err == f"error: {flag} is only for --from vc --to f-free\n"
+
+
+def test_reduce_names_an_unknown_pair_before_a_flag_or_the_input(capsys, tmp_path):
+    """Neither the pattern nor the input exists; the pair is refused first."""
+    argv = ["reduce", "--from", "x", "--to", "y", "--pattern", str(tmp_path / "p.el"),
+            str(tmp_path / "g.el")]
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == "error: unknown reduction 'x' -> 'y'\n"
 
 
 def test_reduce_chain_to_threshold(capsys, tmp_path):

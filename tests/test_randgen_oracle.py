@@ -9,20 +9,24 @@ from chordel import (
     BLOCK,
     CHORDAL,
     CLUSTER,
+    CO_CHAIN,
     COMPLETE_SPLIT,
     INTERVAL,
     ORACLE_CAP,
     OracleCapError,
     SPLIT,
     THRESHOLD,
+    f_free,
     kp_free,
     model_to_graph,
     oracle_min_deletion,
     recognize,
     write_edge_list,
 )
+from chordel import oracle
 from chordel import patterns as pat
 from chordel.matching import check_bipartition
+from chordel.recognition import BASE_LABELS
 from chordel.randgen import (
     gen_bipartite,
     gen_block,
@@ -145,3 +149,60 @@ def test_generators_match_pinned_digests(name, pinned_digests):
 def test_oracle_k2_free_is_vertex_cover():
     g = pat.cycle_graph(5)
     assert oracle_min_deletion(g, kp_free(2)).size == 3
+
+
+ORACLE_LABELS = [*BASE_LABELS.values(), kp_free(3)]
+PATTERN_LABELS = [f_free(pat.diamond()), f_free(pat.path_graph(4))]
+
+
+def test_oracle_matches_reference_on_labelled_graphs():
+    """Skipping twin swaps changes no answer, no tie-break and no None."""
+    for n in range(6):
+        for mask, g in bf.labelled_graphs(n):
+            for label in ORACLE_LABELS + PATTERN_LABELS:
+                want = bf.oracle_min_deletion_reference(g, label)
+                assert oracle_min_deletion(g, label) == want, (n, mask, label)
+
+
+SEEDED_GRAPHS = {
+    "split": lambda n, s: gen_split(n, 0.5, s),
+    "threshold": lambda n, s: gen_threshold(n, s)[0],
+    "chordal": gen_chordal,
+    "block": gen_block,
+    "tree": gen_tree,
+    "interval": lambda n, s: model_to_graph(gen_interval_model(n, s)),
+    "bipartite": lambda n, s: gen_bipartite(n, 0.4, s)[0],
+}
+
+
+@pytest.mark.parametrize("name", SEEDED_GRAPHS)
+def test_oracle_matches_reference_on_seeded_graphs(name):
+    """A quarter of the labels per graph, in turn, with and without k_max."""
+    offset = list(SEEDED_GRAPHS).index(name)
+    for n in range(6, 13):
+        g = SEEDED_GRAPHS[name](n, n)
+        for i, label in enumerate(ORACLE_LABELS):
+            if (i + n + offset) % 4:
+                continue
+            for k_max in (None, 2, 4):
+                want = bf.oracle_min_deletion_reference(g, label, k_max)
+                assert oracle_min_deletion(g, label, k_max) == want, (n, label, k_max)
+
+
+@pytest.mark.parametrize("g, label", [
+    (pat.complete_graph(16), kp_free(3)),
+    (pat.empty_graph(16), CO_CHAIN),
+])
+def test_oracle_tries_one_subset_per_size_when_all_vertices_are_twins(g, label, monkeypatch):
+    """Every vertex is a twin of every other, so each size k tries only
+    {0, ..., k-1}: 15 recognitions for k = 14, where the plain enumeration
+    makes 65,400."""
+    calls = []
+
+    def counted(rest, lab):
+        calls.append(rest.n)
+        return recognize(rest, lab)
+
+    monkeypatch.setattr(oracle, "recognize", counted)
+    assert oracle_min_deletion(g, label).deleted == tuple(range(14))
+    assert calls == list(range(16, 1, -1))
