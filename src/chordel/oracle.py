@@ -4,16 +4,16 @@ Subsets are enumerated in nondecreasing size, each size in lexicographic
 order, so the first feasible subset is the minimum and the tie-break is the
 lexicographically least set.  Capped at 16 vertices unless overridden.
 
-Twins (equal open, or equal closed, neighbourhoods) are interchangeable, so
-a subset that deletes a vertex but keeps an earlier twin is skipped: swapping
-the two gives a lexicographically smaller subset, tried first, that leaves an
-isomorphic graph.  The first feasible subset is never skipped, so the minimum
-and its lexicographic tie-break are unchanged.
+Only subsets holding each deleted vertex's earlier twin (equal open or
+closed neighbourhood) are built: any other swaps to a smaller subset, tried
+first, leaving an isomorphic graph.  Target classes are hereditary, so a
+subset that misses the last obstruction found (a hole, pattern, clique or
+f-free witness; one set, so a skip is one disjointness test) leaves it and
+is skipped.  Asteroidal triples are not kept: deleting a vertex on one of
+the triple's paths can break it.  No skipped subset is feasible.
 """
 
 from __future__ import annotations
-
-from itertools import combinations
 
 from .graph import DeletionResult, Graph, delete_vertices
 from .recognition import ClassLabel, recognize
@@ -24,6 +24,26 @@ class OracleCapError(ValueError):
 
 
 ORACLE_CAP = 16
+
+
+def _twin_prefix_subsets(prev: list[int], k: int):
+    """The k-subsets of range(len(prev)) holding prev[v] with each v
+    (prev[v] <= v), in lexicographic order; no other subset is built."""
+    n, subset, held, v = len(prev), [], 0, 0
+    while True:
+        if len(subset) < k and v <= n - k + len(subset):
+            if prev[v] == v or held >> prev[v] & 1:
+                subset.append(v)
+                held |= 1 << v
+            v += 1
+        else:
+            if len(subset) == k:
+                yield tuple(subset)
+            if not subset:
+                return
+            v = subset.pop()
+            held ^= 1 << v
+            v += 1
 
 
 def oracle_min_deletion(
@@ -43,11 +63,16 @@ def oracle_min_deletion(
         prev.append(last.get(nbrs, last.get(closed, v)))
         last[nbrs] = last[closed] = v
     top = g.n if k_max is None else min(k_max, g.n)
+    found = frozenset()  # the last obstruction, in g's ids
     for k in range(top + 1):
-        for subset in combinations(g.vertices(), k):
-            if not all(prev[v] in subset for v in subset):
+        for subset in _twin_prefix_subsets(prev, k):
+            if found and found.isdisjoint(subset):
                 continue
-            rest, _ = delete_vertices(g, subset)
-            if recognize(rest, label).member:
+            rest, old_to_new = delete_vertices(g, subset)
+            verdict = recognize(rest, label)
+            if verdict.member:
                 return DeletionResult(subset, label, "oracle")
+            if verdict.witness_name != "asteroidal-triple":
+                kept = list(old_to_new)  # new id -> old id
+                found = frozenset(kept[v] for v in verdict.witness)
     return None

@@ -611,6 +611,29 @@ def oracle_min_deletion_reference(
     return None
 
 
+# The oracle's subset enumeration as it was before it built only the
+# twin-prefix subsets: every combination, then the twin filter.  Loop body
+# unchanged; `test_twin_prefix_subsets_match_reference` holds
+# `oracle._twin_prefix_subsets` to it.
+
+
+def twin_prev(g: Graph) -> list[int]:
+    """prev[v]: v's latest earlier twin (equal open or closed neighbourhood), else v."""
+    prev, last = [], {}
+    for v, nbrs in enumerate(g.adj):
+        closed = nbrs | {v}
+        prev.append(last.get(nbrs, last.get(closed, v)))
+        last[nbrs] = last[closed] = v
+    return prev
+
+
+def twin_prefix_subsets_reference(prev: list[int], k: int):
+    for subset in combinations(range(len(prev)), k):
+        if not all(prev[v] in subset for v in subset):
+            continue
+        yield subset
+
+
 # The hole search as it was before its shortest u-w path came from
 # `graph.rooted_forest`: a hand-written layered breadth-first walk.  Body
 # unchanged; `test_find_hole_matches_reference` holds the library to it.

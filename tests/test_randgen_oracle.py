@@ -16,6 +16,7 @@ from chordel import (
     OracleCapError,
     SPLIT,
     THRESHOLD,
+    UNIT_INTERVAL,
     f_free,
     kp_free,
     model_to_graph,
@@ -206,3 +207,52 @@ def test_oracle_tries_one_subset_per_size_when_all_vertices_are_twins(g, label, 
     monkeypatch.setattr(oracle, "recognize", counted)
     assert oracle_min_deletion(g, label).deleted == tuple(range(14))
     assert calls == list(range(16, 1, -1))
+
+
+def test_twin_prefix_subsets_match_reference():
+    """The generator yields exactly the twin-filtered combinations, in order,
+    for every size and the twin map of every labelled graph on <= 6 vertices."""
+    prevs = {tuple(bf.twin_prev(g)) for n in range(7) for _, g in bf.labelled_graphs(n)}
+    for prev in prevs:
+        for k in range(len(prev) + 1):
+            got = list(oracle._twin_prefix_subsets(prev, k))
+            assert got == list(bf.twin_prefix_subsets_reference(prev, k)), (prev, k)
+
+
+@pytest.mark.parametrize("g", [pat.complete_graph(16), pat.empty_graph(16)])
+def test_twin_prefix_subsets_yield_one_subset_per_size_on_one_twin_class(g):
+    prev = bf.twin_prev(g)
+    for k in range(17):
+        got = list(oracle._twin_prefix_subsets(prev, k))
+        assert got == [tuple(range(k))] == list(bf.twin_prefix_subsets_reference(prev, k))
+
+
+@pytest.mark.parametrize("label", [INTERVAL, UNIT_INTERVAL])
+def test_oracle_never_skips_on_an_asteroidal_triple(label):
+    """The net's asteroidal triple 3, 4, 5 is its obstruction, yet deleting
+    the triangle vertex 0, which misses it, breaks the triple's paths."""
+    g = ng.net()
+    verdict = recognize(g, label)
+    assert (verdict.witness, verdict.witness_name) == ((3, 4, 5), "asteroidal-triple")
+    assert oracle_min_deletion(g, label).deleted == (0,)
+    assert oracle_min_deletion(g, label) == bf.oracle_min_deletion_reference(g, label)
+
+
+def _recognitions(module, find, g, label, monkeypatch):
+    calls = []
+
+    def counted(rest, lab):
+        calls.append(rest.n)
+        return recognize(rest, lab)
+
+    monkeypatch.setattr(module, "recognize", counted)
+    return find(g, label), len(calls)
+
+
+def test_oracle_skips_subsets_that_miss_the_last_obstruction(monkeypatch):
+    """72 recognitions where the plain enumeration makes 172, same answer."""
+    g = gen_split(12, 0.5, 5)
+    got, tried = _recognitions(oracle, oracle_min_deletion, g, THRESHOLD, monkeypatch)
+    want, plain = _recognitions(bf, bf.oracle_min_deletion_reference, g, THRESHOLD, monkeypatch)
+    assert got == want and got.deleted == (1, 7, 10)
+    assert (tried, plain) == (72, 172)
