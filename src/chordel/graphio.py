@@ -17,15 +17,14 @@ major, 6-bit chunks offset by 63), so output is bit-exact interchange.
 
 from __future__ import annotations
 
-from itertools import zip_longest
+from itertools import islice, zip_longest
 
 from .graph import Graph, GraphInputError, check_vertex_cap
 
 
 def data_lines(text: str) -> list[str]:
     """The stripped lines of `text` that are neither blank nor "#" comments."""
-    lines = (raw.strip() for raw in text.splitlines())
-    return [line for line in lines if line and line[0] != "#"]
+    return [line for line in map(str.strip, text.splitlines()) if line and line[0] != "#"]
 
 
 def padding_labels(used, stem: str, start: int, stop: int) -> list[str]:
@@ -47,7 +46,10 @@ def parse_edge_list(text: str) -> tuple[Graph, list[str]]:
 
 
 def _parse_edge_lines(lines: list[str]) -> tuple[Graph, list[str]]:
-    """`parse_edge_list` on text already split into data lines."""
+    """`parse_edge_list` on text already split into data lines.  One pass
+    maps each edge line's ends through the id map into adjacency sets; a line
+    that is not "u v", or a label, sends the lines through the shape and label
+    rules and then that pass again.  A self-loop or repeat re-scans for its line."""
     if not lines:
         raise GraphInputError("empty edge-list input")
     head = lines[0].split()
@@ -63,37 +65,46 @@ def _parse_edge_lines(lines: list[str]) -> tuple[Graph, list[str]]:
     if len(lines) - 1 != m:
         raise GraphInputError(f"expected {m} edge lines, found {len(lines) - 1}")
 
-    pairs: list[tuple[str, str]] = []
-    for line in lines[1:]:
-        toks = line.split()
-        if len(toks) != 2:
-            raise GraphInputError(f"edge line must be 'u v', got {line!r}")
-        pairs.append((toks[0], toks[1]))
-
-    tokens = {t for uv in pairs for t in uv}
-    ix = {str(i): i for i in range(n)}
-    if tokens <= ix.keys():  # every token an id: no sign, no leading zero
-        labels = list(ix)
-    else:
+    labels = [str(i) for i in range(n)]
+    try:  # every token an id: no sign, no leading zero
+        adj = _adjacency(lines, n, dict(zip(labels, range(n))))
+    except (ValueError, KeyError):  # a line that is not "u v", or a label
+        tokens = set()
+        for line in islice(lines, 1, None):
+            toks = line.split()
+            if len(toks) != 2:
+                raise GraphInputError(f"edge line must be 'u v', got {line!r}") from None
+            tokens.update(toks)
         labels = sorted(tokens)
         if len(labels) > n:
-            raise GraphInputError(f"{len(labels)} labels but n = {n}")
-        ix = {lab: i for i, lab in enumerate(labels)}
+            raise GraphInputError(f"{len(labels)} labels but n = {n}") from None
+        adj = _adjacency(lines, n, {lab: i for i, lab in enumerate(labels)})
         labels += padding_labels(tokens, "_v", len(labels), n)
 
-    edges = []
-    for a, b in pairs:
-        if a == b:
-            raise GraphInputError(f"self-loop {a!r}")
-        edges.append((ix[a], ix[b]))
-    g = Graph.from_edges(n, edges)
-    if g.m < m:  # some edge is listed twice: name its second listing
-        seen: set[frozenset[int]] = set()
-        for (a, b), e in zip(pairs, edges):
-            if frozenset(e) in seen:
+    if any(v in nbrs for v, nbrs in enumerate(adj)):
+        a = next(a for a, b in map(str.split, islice(lines, 1, None)) if a == b)
+        raise GraphInputError(f"self-loop {a!r}")
+    if sum(map(len, adj)) < 2 * m:  # some edge is listed twice: name its second listing
+        seen: set[frozenset[str]] = set()
+        for a, b in map(str.split, islice(lines, 1, None)):
+            if frozenset((a, b)) in seen:
                 raise GraphInputError(f"repeated edge {a!r} {b!r}")
-            seen.add(frozenset(e))
-    return g, labels
+            seen.add(frozenset((a, b)))
+    for v, nbrs in enumerate(adj):  # each set is freed as its frozenset is made
+        adj[v] = frozenset(nbrs)
+    return Graph._built(n, tuple(adj)), labels
+
+
+def _adjacency(lines: list[str], n: int, ix: dict[str, int]) -> list[set[int]]:
+    """Adjacency sets of the edge lines, ends mapped through `ix`; ValueError
+    or KeyError at the first line that is not two tokens or not in `ix`."""
+    adj: list[set[int]] = [set() for _ in range(n)]
+    for line in islice(lines, 1, None):
+        a, b = line.split()
+        u, v = ix[a], ix[b]
+        adj[u].add(v)
+        adj[v].add(u)
+    return adj
 
 
 def write_edge_list(

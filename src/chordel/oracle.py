@@ -7,15 +7,16 @@ lexicographically least set.  Capped at 16 vertices unless overridden.
 Only subsets holding each deleted vertex's earlier twin (equal open or
 closed neighbourhood) are built: any other swaps to a smaller subset, tried
 first, leaving an isomorphic graph.  Target classes are hereditary, so a
-subset that misses the last obstruction found (a hole, pattern, clique or
-f-free witness; one set, so a skip is one disjointness test) leaves it and
-is skipped.  Asteroidal triples are not kept: deleting a vertex on one of
-the triple's paths can break it.  No skipped subset is feasible.
+subset that misses any obstruction found so far (a hole, pattern, clique or
+f-free witness, each kept as an int mask, so a test is one AND) leaves it
+and is skipped (Cai, IPL 1996).  Asteroidal triples are not kept: deleting
+a vertex on one of the triple's paths can break it.  No skipped subset is
+feasible.
 """
 
 from __future__ import annotations
 
-from .graph import DeletionResult, Graph, delete_vertices
+from .graph import DeletionResult, Graph, delete_vertices, mask
 from .recognition import ClassLabel, recognize
 
 
@@ -63,10 +64,12 @@ def oracle_min_deletion(
         prev.append(last.get(nbrs, last.get(closed, v)))
         last[nbrs] = last[closed] = v
     top = g.n if k_max is None else min(k_max, g.n)
-    found = frozenset()  # the last obstruction, in g's ids
+    found = []  # the mask of every obstruction found, in g's ids
     for k in range(top + 1):
         for subset in _twin_prefix_subsets(prev, k):
-            if found and found.isdisjoint(subset):
+            held = mask(subset)
+            # newest first: the subsets next in order most often miss it
+            if not all(w & held for w in reversed(found)):
                 continue
             rest, old_to_new = delete_vertices(g, subset)
             verdict = recognize(rest, label)
@@ -74,5 +77,5 @@ def oracle_min_deletion(
                 return DeletionResult(subset, label, "oracle")
             if verdict.witness_name != "asteroidal-triple":
                 kept = list(old_to_new)  # new id -> old id
-                found = frozenset(kept[v] for v in verdict.witness)
+                found.append(mask(kept[v] for v in verdict.witness))
     return None

@@ -14,11 +14,14 @@ huge ones.  Three properties are checked on every mutated file:
   the labelled edge set it was written from, unless the write was refused.
 
 Headers stay at n <= 64; huge tokens are all above MAX_VERTICES, so they are
-refused before anything is allocated.  A failure names the case seed.
+refused before anything is allocated.  A failure names the case seed.  The
+edge-list reader is also held to the reference, and below its peak memory,
+on every generator's output at n = 128 and 512, clean and with one fault.
 """
 
 import io
 import random
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -176,6 +179,69 @@ def _check_graph_reader(text: str) -> None:
         if got is not None:
             assert (got.n, got.edges()) == (want.n, want.edges())
             assert to_graph6(got) == bf.to_graph6_reference(got)
+
+
+SCALE_GRAPHS = {
+    "split": lambda n: randgen.gen_split(n, 0.5, 1),
+    "threshold": lambda n: randgen.gen_threshold(n, 1)[0],
+    "chordal": lambda n: randgen.gen_chordal(n, 1),
+    "block": lambda n: randgen.gen_block(n, 1),
+    "tree": lambda n: randgen.gen_tree(n, 1),
+    "bipartite": lambda n: randgen.gen_bipartite(n, 0.4, 1)[0],
+    "interval": lambda n: model_to_graph(randgen.gen_interval_model(n, 1)),
+}
+
+# each fault, made on the last edge line, and the start of the message it draws
+FAULTS = {
+    "self-loop": (lambda a, b, first: f"{a} {a}", "self-loop "),
+    "repeated edge": (lambda a, b, first: first, "repeated edge "),
+    "three tokens": (lambda a, b, first: f"{a} {b} {b}", "edge line must be 'u v'"),
+    # no vertex of these graphs is isolated, so two new names make n + 1 or more
+    "labels past n": (lambda a, b, first: "x/ y/", "labels but n = "),
+}
+
+
+@pytest.mark.parametrize("n", [128, 512])
+@pytest.mark.parametrize("name", SCALE_GRAPHS)
+def test_edge_list_reader_matches_reference_at_scale(name, n):
+    """Ids, `v{i}` labels and a commented header: the same graph and labels
+    as the reference.  Ids and labels, each with each fault on the last line:
+    the same message (the commented form has the ids form's data lines)."""
+    g = SCALE_GRAPHS[name](n)
+    ids, names = [str(i) for i in range(n)], [f"v{i}" for i in range(n)]
+    forms = [(ids, write_edge_list(g)), (names, write_edge_list(g, names))]
+    commented = write_edge_list(g, comments=("source", "more"))
+    assert data_lines(commented) == data_lines(forms[0][1])
+    for labels, text in forms:
+        got = _outcome(parse_edge_list, text)
+        assert got == _outcome(bf.parse_edge_lines_reference, data_lines(text))
+        assert _labelled_edges(*got[0]) == _labelled_edges(g, labels)
+        lines = text.splitlines()
+        a, b = lines[-1].split()
+        for fault, (make, message) in FAULTS.items():
+            faulty = "\n".join(lines[:-1] + [make(a, b, lines[1])]) + "\n"
+            got = _outcome(parse_edge_list, faulty)
+            assert got == _outcome(bf.parse_edge_lines_reference, data_lines(faulty)), fault
+            assert message in got[1], (fault, got[1])
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_edge_list_reader_peaks_below_the_reference(seed):
+    """Parsing builds no edge or pair list beside the adjacency sets, so its
+    peak traced memory stays at most 0.7 of the reference's."""
+    text = write_edge_list(randgen.gen_chordal(128, seed))
+
+    def peak(parse) -> int:
+        tracemalloc.start()
+        try:
+            parse(text)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    ours = peak(parse_edge_list)
+    reference = peak(lambda t: bf.parse_edge_lines_reference(data_lines(t)))
+    assert ours <= 0.7 * reference, (ours, reference)
 
 
 def _exponent(line: str) -> bool:

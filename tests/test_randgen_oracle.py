@@ -24,6 +24,7 @@ from chordel import (
     recognize,
     write_edge_list,
 )
+from chordel.graph import delete_vertices
 from chordel import oracle
 from chordel import patterns as pat
 from chordel.matching import check_bipartition
@@ -249,10 +250,43 @@ def _recognitions(module, find, g, label, monkeypatch):
     return find(g, label), len(calls)
 
 
-def test_oracle_skips_subsets_that_miss_the_last_obstruction(monkeypatch):
-    """72 recognitions where the plain enumeration makes 172, same answer."""
+def test_oracle_skips_subsets_that_miss_an_obstruction(monkeypatch):
+    """16 recognitions where the plain enumeration makes 172, same answer."""
     g = gen_split(12, 0.5, 5)
     got, tried = _recognitions(oracle, oracle_min_deletion, g, THRESHOLD, monkeypatch)
     want, plain = _recognitions(bf, bf.oracle_min_deletion_reference, g, THRESHOLD, monkeypatch)
     assert got == want and got.deleted == (1, 7, 10)
-    assert (tried, plain) == (72, 172)
+    assert (tried, plain) == (16, 172)
+
+
+@pytest.mark.parametrize("name", SEEDED_GRAPHS)
+def test_oracle_tries_only_subsets_that_hit_every_obstruction_found(name, monkeypatch):
+    """On the inputs of the seeded reference test, each subset the oracle
+    tries meets every hole, pattern, clique and f-free witness that an
+    earlier subset of the same call left, in the input's ids."""
+    tried, found = [], []
+
+    def deleting(g, subset):
+        rest, old_to_new = delete_vertices(g, subset)
+        tried.append((set(subset), list(old_to_new)))
+        return rest, old_to_new
+
+    def recognizing(rest, lab):
+        subset, kept = tried[-1]
+        assert all(subset & w for w in found), (subset, found)
+        verdict = recognize(rest, lab)
+        if not verdict.member and verdict.witness_name != "asteroidal-triple":
+            found.append({kept[v] for v in verdict.witness})
+        return verdict
+
+    monkeypatch.setattr(oracle, "delete_vertices", deleting)
+    monkeypatch.setattr(oracle, "recognize", recognizing)
+    offset = list(SEEDED_GRAPHS).index(name)
+    for n in range(6, 13):
+        g = SEEDED_GRAPHS[name](n, n)
+        for i, label in enumerate(ORACLE_LABELS):
+            if (i + n + offset) % 4:
+                continue
+            for k_max in (None, 2, 4):
+                found.clear()
+                oracle_min_deletion(g, label, k_max)
