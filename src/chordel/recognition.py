@@ -14,12 +14,12 @@ Split, threshold, trivially perfect, cluster, complete split, co-chain,
 block and 2K2/P3-free graphs are accepted by a near-linear certificate
 (`_certified`); chordal, interval and unit interval graphs by a PEO and
 the hole, asteroidal-triple and claw searches.  The obstruction search runs
-only on rejection, and skips the patterns that a split partition, a PEO or
-a bipartition of the complement has already ruled out.  The pattern, MCS,
-PEO and asteroidal-triple kernels run on int bitmasks of the adjacency, in
-the search order of adjacency sets, so the witnesses are the same.  The
-asteroidal-triple sweep pairs only vertices of one component, and the
-p-clique search runs on the (p-1)-core.
+only on rejection, and skips what a split partition, a PEO, a bipartition
+of the complement or an LBFS+ interval ordering has already ruled out.  The
+pattern, MCS, PEO, asteroidal-triple and LBFS+ kernels run on int bitmasks,
+in the search order of adjacency sets, so the witnesses are the same.  The
+asteroidal-triple sweep pairs only vertices of one component, labelling
+each G - N[z] on first read, and the p-clique search runs on the (p-1)-core.
 """
 
 from __future__ import annotations
@@ -373,24 +373,65 @@ def _parts(masks: list[int], bits: list[int], rest: int) -> list[int]:
 def find_asteroidal_triple(g: Graph) -> tuple[int, int, int] | None:
     """First vertex triple whose members pairwise connect while avoiding the
     closed neighborhood of the third, in ascending order, or None.  The three
-    lie in one component of g, `whole[v]`; `comp[z][v]` masks the component
-    of that one minus N[z] holding v, 0 when v is in N[z]."""
+    lie in one component of g, `whole[v]`; `comp(z)[v]` masks the component
+    of that one minus N[z] holding v, 0 when v is in N[z].  Each `comp(z)` is
+    labelled when first read, and x pairs only with the y outside N[x]."""
     masks, bits = list(map(mask, g.adj)), [1 << v for v in g.vertices()]
     whole = _parts(masks, bits, (1 << g.n) - 1)
-    comp = [_parts(masks, bits, whole[z] & ~(masks[z] | bits[z])) for z in g.vertices()]
+
+    @lru_cache(maxsize=None)
+    def comp(z: int) -> list[int]:
+        return _parts(masks, bits, whole[z] & ~(masks[z] | bits[z]))
+
     for x in g.vertices():
-        ys = whole[x] >> (x + 1)
+        ys = (whole[x] & ~masks[x]) >> (x + 1)
         while ys:  # lowest y first
             y = x + (ys & -ys).bit_length()
             ys &= ys - 1
-            cands = (comp[y][x] & comp[x][y]) >> (y + 1)
+            cands = (comp(y)[x] & comp(x)[y]) >> (y + 1)
             while cands:  # lowest z first
                 low = cands & -cands
                 z = y + low.bit_length()
-                if comp[z][x] >> y & 1:
+                if comp(z)[x] >> y & 1:
                     return (x, y, z)
                 cands ^= low
     return None
+
+
+def _interval_sweep(g: Graph, peo: tuple[int, ...]) -> tuple[bool, bool]:
+    """Whether one LBFS+ sweep, ties going to the vertex earliest in `peo`,
+    gives an interval ordering (u < v < w and uw in E imply uv in E; Olariu
+    1991) read forwards, and read backwards.  It runs on ranks in `peo`, so a
+    slice's lowest bit is its tie-break, and stops once both readings fail:
+    forwards when v sees a vertex placed before one of its non-neighbours
+    (`gapped`), backwards when v misses one to come that an earlier one sees."""
+    rank = {v: r for r, v in enumerate(peo)}
+    full = (1 << g.n) - 1
+    slices, placed, gapped, reached = [full], 0, 0, 0  # reversed: slices[-1] is first
+    forward = backward = True
+    while placed != full and (forward or backward):
+        low = slices[-1] & -slices[-1]
+        slices[-1] ^= low
+        if not slices[-1]:
+            slices.pop()
+        row = bytearray(b"0") * g.n  # nbrs in binary digits: faster than summed shifts
+        for u in g.adj[peo[low.bit_length() - 1]]:
+            row[~rank[u]] = 49
+        nbrs = int(row, 2)
+        forward = forward and not nbrs & gapped
+        gapped |= placed & ~nbrs
+        placed |= low
+        backward = backward and not reached & ~placed & ~nbrs
+        reached |= nbrs
+        todo, i = nbrs & ~placed, len(slices)
+        while todo:  # each slice its neighbours first
+            i -= 1
+            hit = slices[i] & todo
+            if hit:
+                todo ^= hit
+                if hit != slices[i]:
+                    slices[i : i + 1] = slices[i] ^ hit, hit
+    return forward, backward
 
 
 # ---------------------------------------------------------------------------
@@ -430,25 +471,34 @@ _OBSTRUCTIONS = {
 # Cheap positive tests and the names each one rules out when it succeeds: a
 # split graph has no 2K2, C4 or C5; a chordal graph has no C4 or C5; a graph
 # whose complement is bipartite has no independent triple, and no C5, whose
-# complement is an odd cycle.
+# complement is an odd cycle.  A graph with an interval ordering has no
+# asteroidal triple; a proper one (both ways) is unit interval, so no claw.
 _RULED_OUT = (
     ("split", ("2k2", "c4", "c5")),
     ("peo", ("c4", "c5")),
     ("co-bipartite", ("i3", "c5")),
+    ("interval-order", ("asteroidal-triple",)),
+    ("proper-order", ("claw",)),
 )
 
 
 def _fact(g: Graph, test: str, known: dict):
     """The split partition ("split"), PEO ("peo") or complement bipartition
     ("co-bipartite") of g, or None when g has none; computed at most once
-    per `known`."""
+    per `known`.  "interval-order" and "proper-order" are True when the
+    PEO's `_interval_sweep` finds that ordering, else None."""
     if test not in known:
         if test == "split":
             known[test] = split_partition(g)
         elif test == "peo":
             known[test] = chordal_peo(g)
-        else:
+        elif test == "co-bipartite":
             known[test] = bipartition_classes(complement(g))
+        else:
+            peo = _fact(g, "peo", known)
+            forward, backward = (False, False) if peo is None else _interval_sweep(g, peo)
+            known["interval-order"] = forward or backward or None
+            known["proper-order"] = forward and backward or None
     return known[test]
 
 

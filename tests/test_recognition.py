@@ -129,6 +129,18 @@ def test_split_partition_c5_obstruction():
     assert len(err.value.witness) == 5
 
 
+def _counting(monkeypatch, *names):
+    """Wrap each named function of `recognition` to count its calls."""
+    counts = collections.Counter()
+    for fn in names:
+        def counted(*args, _real=getattr(recognition, fn), _fn=fn):
+            counts[_fn] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(recognition, fn, counted)
+    return counts
+
+
 @pytest.mark.parametrize(
     "label,g,kind,calls",
     [
@@ -140,13 +152,7 @@ def test_split_partition_c5_obstruction():
     ids=["split-2k2", "split-c5", "chordal-c5"],
 )
 def test_require_helpers_run_each_test_once_on_rejection(label, g, kind, calls, monkeypatch):
-    counts = collections.Counter()
-    for fn in ("split_partition", "maximum_cardinality_search"):
-        def counted(h, _real=getattr(recognition, fn), _fn=fn):
-            counts[_fn] += 1
-            return _real(h)
-
-        monkeypatch.setattr(recognition, fn, counted)
+    counts = _counting(monkeypatch, "split_partition", "maximum_cardinality_search")
     with pytest.raises(NotInClassError) as err:
         require(g, label)
     assert err.value.witness_name == kind
@@ -311,6 +317,54 @@ def test_asteroidal_triple_matches_reference_on_disjoint_unions():
     # the sweep pairs only vertices of one component of g
     for g in bf.disjoint_unions():
         assert find_asteroidal_triple(g) == bf.asteroidal_triple_reference(g)
+
+
+def test_asteroidal_triple_sweep_labels_only_the_vertices_it_reads(monkeypatch):
+    # the eager sweep labelled G - N[z] for every z: 1,025 labellings here
+    counts = _counting(monkeypatch, "_parts")
+    assert recognize(gen_tree(1024, 1), INTERVAL) == recognition.Verdict(
+        False, (0, 8, 11), "asteroidal-triple"
+    )
+    assert 0 < counts["_parts"] <= 16
+
+
+@pytest.mark.parametrize("g", [pat.complete_graph(1000), pat.empty_graph(1000)],
+                         ids=["K1000", "empty1000"])
+def test_proper_ordering_skips_the_asteroidal_triple_and_claw_searches(g, monkeypatch):
+    # one LBFS+ sweep finds a proper ordering of both, where the eager
+    # asteroidal-triple sweep built 1,001 labellings and a claw search ran
+    counts = _counting(monkeypatch, "_parts", "_find_embedding")
+    assert recognize(g, UNIT_INTERVAL) == recognition.Verdict(True)
+    assert not counts
+
+
+def test_interval_orderings_rule_out_only_absent_obstructions():
+    """On every labelled graph with at most 6 vertices, chordal or not, the
+    sweep from the reversed MCS order (the PEO on a chordal graph) finds an
+    interval ordering only on a chordal graph with no asteroidal triple, and
+    a proper ordering only on one that also has no claw.  Seeded interval
+    models, relabelled, are members with the PEO that `chordal_peo` builds."""
+    found = collections.Counter()
+    for n in range(7):
+        for _, g in bf.labelled_graphs(n):
+            forward, backward = recognition._interval_sweep(
+                g, maximum_cardinality_search(g)[::-1]
+            )
+            if forward or backward:
+                found["interval"] += 1
+                assert chordal_peo(g) is not None
+                assert bf.asteroidal_triple_reference(g) is None
+            if forward and backward:
+                found["proper"] += 1
+                assert bf.find_embedding_reference(g, pat.claw()) is None
+    assert found["interval"] > found["proper"] > 0
+    for n in (64, 128):
+        for s in range(4):
+            perm = random.Random(s).sample(range(n), n)
+            g = model_to_graph(gen_interval_model(n, s))
+            h = Graph.from_edges(n, [(perm[u], perm[v]) for u, v in g.edges()])
+            verdict = recognize(h, INTERVAL)
+            assert verdict.member and verdict.peo == chordal_peo(h)
 
 
 def test_find_hole_matches_reference():
