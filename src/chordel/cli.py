@@ -276,7 +276,7 @@ def _cmd_reduce(args, fmt: str) -> int:
     if pair == ("vc", "f-free") and not args.pattern:
         raise GraphInputError("vc -> f-free needs --pattern")
     anchor = None
-    if args.anchor:
+    if args.anchor is not None:
         try:
             a, b = map(int, args.anchor.split(","))
         except ValueError:
@@ -490,8 +490,6 @@ _PARSER = build_parser()
 
 def main(argv: list[str] | None = None) -> int:
     args = _PARSER.parse_args(argv)
-    if getattr(args, "inputs", None) == [] and not getattr(args, "model", None):
-        _PARSER.error("no input files given")
     handlers = {
         "recognize": _cmd_recognize,
         "solve": _cmd_solve,
@@ -501,6 +499,8 @@ def main(argv: list[str] | None = None) -> int:
         "selftest": _cmd_selftest,
     }
     try:
+        if getattr(args, "inputs", None) == [] and not getattr(args, "model", None):
+            raise GraphInputError("no input files given")
         return handlers[args.command](args, args.format)
     except NotInClassError as exc:
         report = {

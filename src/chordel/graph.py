@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -33,8 +34,14 @@ def vset(vertices: Iterable[int]) -> VertexSet:
     return tuple(sorted(set(vertices)))
 
 
-def mask(vertices: Iterable[int]) -> int:
-    """The int with bit v set for each of `vertices`."""
+def mask(vertices: Iterable[int], n: int = 0) -> int:
+    """The int with bit v set for each of the distinct `vertices`; at least
+    n/32 ids below n >= 256 are written as binary digits, which is faster."""
+    if n >= 256 and 32 * len(vertices) >= n:
+        row = bytearray(b"0") * n
+        for v in vertices:
+            row[~v] = 49
+        return int(row, 2)
     return sum(map((1).__lshift__, vertices))
 
 
@@ -104,6 +111,11 @@ class Graph:
 
     def closed_neighborhood(self, v: int) -> frozenset[int]:
         return self.adj[v] | {v}
+
+    @cached_property
+    def masks(self) -> list[int]:
+        """Each vertex's neighbourhood `mask`, built once (not a field: `==` ignores it)."""
+        return [mask(nbrs, self.n) for nbrs in self.adj]
 
     def __iter__(self) -> Iterator[int]:
         return iter(range(self.n))

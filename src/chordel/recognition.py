@@ -16,10 +16,10 @@ block and 2K2/P3-free graphs are accepted by a near-linear certificate
 the hole, asteroidal-triple and claw searches.  The obstruction search runs
 only on rejection, and skips what a split partition, a PEO, a bipartition
 of the complement or an LBFS+ interval ordering has already ruled out.  The
-pattern, MCS, PEO, asteroidal-triple and LBFS+ kernels run on int bitmasks,
-in the search order of adjacency sets, so the witnesses are the same.  The
-asteroidal-triple sweep pairs only vertices of one component, labelling
-each G - N[z] on first read, and the p-clique search runs on the (p-1)-core.
+kernels run on `graph.mask` bitmasks (MCS and the asteroidal-triple search on
+each graph's `Graph.masks`) in adjacency-set search order, so the witnesses are
+the same.  The asteroidal-triple sweep pairs only vertices of one component,
+labelling each G - N[z] on first read; the p-clique search uses the (p-1)-core.
 """
 
 from __future__ import annotations
@@ -162,7 +162,7 @@ def _find_embedding(g: Graph, f: Graph) -> VertexSet | None:
         while cands:  # lowest id first
             low = cands & -cands
             w = low.bit_length() - 1
-            masks[w] = masks[w] or mask(g.adj[w])
+            masks[w] = masks[w] or mask(g.adj[w], g.n)
             chosen.append(w)
             hit = extend(k + 1, used | low)
             if hit is not None:
@@ -218,7 +218,7 @@ def find_clique_of_size(g: Graph, p: int) -> VertexSet | None:
 def maximum_cardinality_search(g: Graph) -> list[int]:
     """MCS visit order; its reverse is a PEO exactly when g is chordal.  Each
     step takes the least vertex of `buckets[top]`, the top weight's mask."""
-    masks, buckets = list(map(mask, g.adj)), [(1 << g.n) - 1] + [0] * g.n
+    masks, buckets = g.masks, [(1 << g.n) - 1] + [0] * g.n
     top, left, order = 0, buckets[0], []
     for _ in range(g.n):
         while not buckets[top]:
@@ -376,7 +376,7 @@ def find_asteroidal_triple(g: Graph) -> tuple[int, int, int] | None:
     lie in one component of g, `whole[v]`; `comp(z)[v]` masks the component
     of that one minus N[z] holding v, 0 when v is in N[z].  Each `comp(z)` is
     labelled when first read, and x pairs only with the y outside N[x]."""
-    masks, bits = list(map(mask, g.adj)), [1 << v for v in g.vertices()]
+    masks, bits = g.masks, [1 << v for v in g.vertices()]
     whole = _parts(masks, bits, (1 << g.n) - 1)
 
     @lru_cache(maxsize=None)
@@ -414,10 +414,7 @@ def _interval_sweep(g: Graph, peo: tuple[int, ...]) -> tuple[bool, bool]:
         slices[-1] ^= low
         if not slices[-1]:
             slices.pop()
-        row = bytearray(b"0") * g.n  # nbrs in binary digits: faster than summed shifts
-        for u in g.adj[peo[low.bit_length() - 1]]:
-            row[~rank[u]] = 49
-        nbrs = int(row, 2)
+        nbrs = mask([rank[u] for u in g.adj[peo[low.bit_length() - 1]]], g.n)
         forward = forward and not nbrs & gapped
         gapped |= placed & ~nbrs
         placed |= low

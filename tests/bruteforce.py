@@ -990,6 +990,39 @@ def asteroidal_triple_reference(g: Graph) -> tuple | None:
     return None
 
 
+def interval_sweep_reference(g: Graph, peo) -> tuple[bool, bool]:
+    """`recognition._interval_sweep` as it was with its own rows: each placed
+    vertex's neighbours in PEO ranks, written as binary digits whatever the
+    degree; the library sweep must read the same pair."""
+    rank = {v: r for r, v in enumerate(peo)}
+    full = (1 << g.n) - 1
+    slices, placed, gapped, reached = [full], 0, 0, 0  # reversed: slices[-1] is first
+    forward = backward = True
+    while placed != full and (forward or backward):
+        low = slices[-1] & -slices[-1]
+        slices[-1] ^= low
+        if not slices[-1]:
+            slices.pop()
+        row = bytearray(b"0") * g.n
+        for u in g.adj[peo[low.bit_length() - 1]]:
+            row[~rank[u]] = 49
+        nbrs = int(row, 2)
+        forward = forward and not nbrs & gapped
+        gapped |= placed & ~nbrs
+        placed |= low
+        backward = backward and not reached & ~placed & ~nbrs
+        reached |= nbrs
+        todo, i = nbrs & ~placed, len(slices)
+        while todo:  # each slice its neighbours first
+            i -= 1
+            hit = slices[i] & todo
+            if hit:
+                todo ^= hit
+                if hit != slices[i]:
+                    slices[i : i + 1] = slices[i] ^ hit, hit
+    return forward, backward
+
+
 def gen_chordal_reference(n: int, seed: int = 0) -> Graph:
     """`randgen.gen_chordal` as it was with a rebuilt frontier and pairwise
     subtree intersections; the library version must draw the same graph."""

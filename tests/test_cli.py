@@ -314,7 +314,7 @@ def test_reduce_vc_anchor_outside_the_pattern_exits_2(anchor, tmp_path, capsys):
     assert out.out == "" and out.err.startswith("error: anchor")
 
 
-@pytest.mark.parametrize("anchor", ["9", "a,b", "1,2,3"])
+@pytest.mark.parametrize("anchor", ["", "9", "a,b", "1,2,3"])
 def test_reduce_vc_malformed_anchor_exits_2(anchor, tmp_path, capsys):
     """Refused before either file is read: the second pair does not exist."""
     diamond = tmp_path / "diamond.el"
@@ -584,11 +584,10 @@ def test_kp_label_below_2_exits_2(command, files, capsys):
     ["solve", "--problem", "split-to-cluster"],
 ])
 def test_no_input_files_exits_2(argv, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
+    # one error line and the exit code, as every other argument error gives
+    assert main(argv) == 2
     captured = capsys.readouterr()
-    assert captured.out == "" and captured.err.endswith("chordel: error: no input files given\n")
+    assert captured.out == "" and captured.err == "error: no input files given\n"
 
 
 @pytest.mark.parametrize("text, error", [

@@ -26,6 +26,7 @@ from chordel.graph import (
     bipartition_classes,
     build_block_cut_tree,
     disjoint_union,
+    mask,
 )
 from chordel import patterns as pat
 from chordel import randgen
@@ -84,6 +85,38 @@ def test_built_graphs_pass_the_full_validation():
     for n in (0, 1, 7, 40):
         for seed in range(20):
             _checked(model_to_graph(randgen.gen_interval_model(n, seed)))
+
+
+@pytest.mark.parametrize("n", [255, 256, 1024])
+def test_mask_equals_summed_shifts(n):
+    # under n/32 ids the shifts are summed, from n/32 on (at n >= 256) the
+    # ids are written as binary digits: one int either way
+    rng = random.Random(n)
+    for k in (0, 1, 3, n // 32 - 1, n // 32, n // 2, n):
+        for vertices in (rng.sample(range(n), k), frozenset(rng.sample(range(n), k))):
+            assert mask(vertices, n) == mask(vertices) == sum(1 << v for v in vertices)
+    assert mask([n - 1], n) == 1 << n - 1 and mask(range(n), n) == (1 << n) - 1
+
+
+def _shifted_rows(g: Graph) -> list[int]:
+    return [sum(1 << u for u in nbrs) for nbrs in g.adj]
+
+
+def test_adjacency_masks_equal_summed_shifts():
+    for n in range(6):
+        for _, g in bf.labelled_graphs(n):
+            assert g.masks == _shifted_rows(g), g.edges()
+    for g in (pat.complete_graph(1000), pat.path_graph(4096), randgen.gen_chordal(1024, 1)):
+        assert g.masks == _shifted_rows(g)
+
+
+def test_adjacency_masks_are_built_once_and_not_compared():
+    g = randgen.gen_chordal(64, 1)
+    before = (hash(g), repr(g))
+    assert g.masks is g.masks
+    assert (hash(g), repr(g)) == before
+    twin = Graph(g.n, g.adj)
+    assert g == twin and hash(g) == hash(twin) and "masks" not in vars(twin)
 
 
 def test_delete_vertices_examples():

@@ -36,6 +36,7 @@ from chordel import (
     recognize,
     split_partition,
 )
+from chordel import graph as graph_module
 from chordel import recognition
 from chordel.recognition import (
     find_clique_of_size,
@@ -347,9 +348,9 @@ def test_interval_orderings_rule_out_only_absent_obstructions():
     found = collections.Counter()
     for n in range(7):
         for _, g in bf.labelled_graphs(n):
-            forward, backward = recognition._interval_sweep(
-                g, maximum_cardinality_search(g)[::-1]
-            )
+            peo = maximum_cardinality_search(g)[::-1]
+            forward, backward = recognition._interval_sweep(g, peo)
+            assert (forward, backward) == bf.interval_sweep_reference(g, peo)
             if forward or backward:
                 found["interval"] += 1
                 assert chordal_peo(g) is not None
@@ -365,6 +366,39 @@ def test_interval_orderings_rule_out_only_absent_obstructions():
             h = Graph.from_edges(n, [(perm[u], perm[v]) for u, v in g.edges()])
             verdict = recognize(h, INTERVAL)
             assert verdict.member and verdict.peo == chordal_peo(h)
+
+
+def test_interval_sweep_matches_the_digit_row_reference():
+    # the sweep's rows come from `graph.mask`, summed shifts on a sparse row,
+    # where the reference writes binary digits for every row
+    graphs = [pat.complete_graph(1000), pat.path_graph(4096)]
+    for n in (64, 256, 1024):
+        for s in range(2):
+            perm = random.Random(s).sample(range(n), n)
+            g = model_to_graph(gen_interval_model(n, s))
+            graphs += [g, Graph.from_edges(n, [(perm[u], perm[v]) for u, v in g.edges()])]
+    for g in graphs:
+        peo = chordal_peo(g)
+        assert recognition._interval_sweep(g, peo) == bf.interval_sweep_reference(g, peo)
+
+
+def test_interval_recognition_builds_each_adjacency_mask_once(monkeypatch):
+    # MCS and the asteroidal-triple search each built every vertex's mask
+    g = gen_tree(1024, 1)
+    row_of = {id(nbrs): v for v, nbrs in enumerate(g.adj)}
+    built = collections.Counter()
+
+    def counted(vertices, *rest, _real=graph_module.mask):
+        if id(vertices) in row_of:
+            built[row_of[id(vertices)]] += 1
+        return _real(vertices, *rest)
+
+    for module in (graph_module, recognition):
+        monkeypatch.setattr(module, "mask", counted)
+    assert recognize(g, INTERVAL) == recognition.Verdict(
+        False, (0, 8, 11), "asteroidal-triple"
+    )
+    assert built == collections.Counter(g.vertices())
 
 
 def test_find_hole_matches_reference():
