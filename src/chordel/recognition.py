@@ -14,12 +14,13 @@ Split, threshold, trivially perfect, cluster, complete split, co-chain,
 block and 2K2/P3-free graphs are accepted by a near-linear certificate
 (`_certified`); chordal, interval and unit interval graphs by a PEO and
 the hole, asteroidal-triple and claw searches.  The obstruction search runs
-only on rejection, and skips what a split partition, a PEO, a bipartition
-of the complement or an LBFS+ interval ordering has already ruled out.  The
-kernels run on `graph.mask` bitmasks (MCS and the asteroidal-triple search on
-each graph's `Graph.masks`) in adjacency-set search order, so the witnesses are
-the same.  The asteroidal-triple sweep pairs only vertices of one component,
-labelling each G - N[z] on first read; the p-clique search uses the (p-1)-core.
+only on rejection, and one table, `_RULED_OUT_BY`, names the cheap tests (a
+split partition, a PEO, a bipartition of the complement or an LBFS+ interval
+ordering) that let it skip each obstruction.  The kernels run on `graph.mask`
+bitmasks (MCS and the asteroidal-triple search on `Graph.masks`) in
+adjacency-set search order, so the witnesses are the same.  The
+asteroidal-triple sweep pairs only vertices of one component, labelling each
+G - N[z] on first read; the p-clique search uses the (p-1)-core.
 """
 
 from __future__ import annotations
@@ -106,6 +107,8 @@ def kp_free(p: int) -> ClassLabel:
 
 
 def f_free(pattern: Graph) -> ClassLabel:
+    if pattern.n == 0:
+        raise ValueError("f-free needs a pattern with at least one vertex")
     return ClassLabel("f-free", pattern=pattern)
 
 
@@ -465,18 +468,20 @@ _OBSTRUCTIONS = {
 }
 
 
-# Cheap positive tests and the names each one rules out when it succeeds: a
-# split graph has no 2K2, C4 or C5; a chordal graph has no C4 or C5; a graph
-# whose complement is bipartite has no independent triple, and no C5, whose
-# complement is an odd cycle.  A graph with an interval ordering has no
+# Per obstruction, the cheap positive tests that rule it out, in the order
+# they run.  A chordal graph (one with a PEO) has no hole, C4 or C5; a split
+# graph no 2K2, C4 or C5; one with a bipartite complement no independent triple
+# and no C5 (its complement is an odd cycle).  An interval ordering rules out an
 # asteroidal triple; a proper one (both ways) is unit interval, so no claw.
-_RULED_OUT = (
-    ("split", ("2k2", "c4", "c5")),
-    ("peo", ("c4", "c5")),
-    ("co-bipartite", ("i3", "c5")),
-    ("interval-order", ("asteroidal-triple",)),
-    ("proper-order", ("claw",)),
-)
+_RULED_OUT_BY = {
+    "hole": ("peo",),
+    "2k2": ("split",),
+    "c4": ("split", "peo"),
+    "c5": ("split", "peo", "co-bipartite"),
+    "i3": ("co-bipartite",),
+    "asteroidal-triple": ("interval-order",),
+    "claw": ("proper-order",),
+}
 
 
 def _fact(g: Graph, test: str, known: dict):
@@ -499,33 +504,16 @@ def _fact(g: Graph, test: str, known: dict):
     return known[test]
 
 
-def _hole(g: Graph, known: dict) -> tuple[int, ...] | None:
-    """A hole, searched for only when the MCS order is not a PEO."""
-    if _fact(g, "peo", known) is not None:
-        return None
-    hole = find_hole(g)
-    if hole is None:
-        raise AssertionError("MCS order rejected but no hole found")
-    return hole
-
-
 def _first_obstruction(g: Graph, names: tuple[str, ...], known: dict) -> Verdict:
-    """The first of `names` that g contains.  Before the first name a cheap
-    test could rule out, that test runs (once); a name it rules out is
-    skipped, since its search would find nothing."""
-    ruled_out: set[str] = set()
+    """The first of `names` that g contains; a name that one of its
+    `_RULED_OUT_BY` tests rules out is skipped (each runs once per `known`)."""
     for name in names:
-        for test, skips in _RULED_OUT:
-            if (
-                name in skips
-                and name not in ruled_out
-                and _fact(g, test, known) is not None
-            ):
-                ruled_out.update(skips)
-        if name in ruled_out:
+        if any(_fact(g, t, known) is not None for t in _RULED_OUT_BY.get(name, ())):
             continue
         if name == "hole":
-            hit = _hole(g, known)
+            hit = find_hole(g)
+            if hit is None:
+                raise AssertionError("MCS order rejected but no hole found")
         elif name == "asteroidal-triple":
             hit = find_asteroidal_triple(g)
         else:

@@ -1,8 +1,11 @@
-"""Independent brute-force oracles for the test suite.
+"""Independent references for the test suite, of two kinds.
 
-Everything here enumerates: subsets, bipartitions, matchings, permutations.
-Deliberately naive so it can be trusted, and kept apart from the library
-paths it checks.
+Brute-force oracles enumerate: subsets, bipartitions, matchings,
+permutations.  They are deliberately naive so they can be trusted, and kept
+apart from the library paths they check.  Most `*_reference` functions keep
+earlier versions of library routines, bodies unchanged (a comment above each
+group says which), as exact-output references: the library must return what
+they return, witness for witness and order for order.
 """
 
 import random

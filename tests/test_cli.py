@@ -1,12 +1,17 @@
 import io
 import json
+import os
 import re
+import sys
+import tempfile
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from functools import partial
 from pathlib import Path
 
 import pytest
 
+import pins
 from chordel import parse_edge_list, recognize, CHORDAL, SPLIT, THRESHOLD
 from chordel.cli import _GRAPH_SOLVERS, _MODEL_SOLVERS, main
 from chordel.graph import MAX_VERTICES
@@ -152,6 +157,16 @@ def test_malformed_input_exits_2(files, capsys, tmp_path):
 
 def test_unknown_class_exits_2(files):
     assert main(["recognize", "--class", "wavy", files["p3"]]) == 2
+
+
+@pytest.mark.parametrize("command", ["recognize", "oracle"])
+def test_empty_ffree_pattern_exits_2_before_reading_input(command, tmp_path, capsys):
+    empty = tmp_path / "empty.el"
+    empty.write_text("0 0\n")  # no graph is free of the empty graph
+    assert main([command, "--class", f"f-free:{empty}", str(tmp_path / "missing.el")]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: f-free needs a pattern with at least one vertex\n"
 
 
 @pytest.mark.parametrize("klass", ["kp:abc", "kp:", "kp:2.5"])
@@ -721,10 +736,16 @@ def test_text_stdout_is_pinned(argv, tmp_path, monkeypatch, capsys):
 
 # ------------------------------------------------------ golden solve records
 
-# {case id: {"code", "stdout"}} for every case below, written by running
-# solve_stdout on each case at a commit whose output is trusted; a new
-# problem in either solver table fails here until its records are added
-GOLDEN = Path(__file__).parent / "golden" / "solve_records.json"
+# {case id: {"code", "stdout"}} for every case below; a new problem in either
+# solver table fails here until its records are added.  Run as a script from
+# the repository root, this file recomputes every record and exits 1 if any
+# differs from its pin; it never overwrites the file:
+#
+#     PYTHONPATH=src python tests/test_cli.py
+#
+# To recapture at a commit whose output is trusted, delete the file and run
+# the script again.
+GOLDEN = Path(__file__).resolve().parent / "golden" / "solve_records.json"
 
 SOLVE_INPUTS = {
     "split": "7 11\na d\na f\na g\nb d\nb f\nc d\nc g\nd e\nd f\nd g\nf g\n",
@@ -770,14 +791,32 @@ def solve_stdout(problem, source, fmt, verify):
     return code, text
 
 
+def solve_cases() -> dict:
+    """{case id: (problem, source, fmt, verify)} for every golden record."""
+    return {
+        _solve_case_id(problem, source, fmt, verify): (problem, source, fmt, verify)
+        for problem, source in SOLVE_CASES
+        for fmt in ("text", "records")
+        for verify in (False, True)
+    }
+
+
+def solve_record(problem, source, fmt, verify) -> dict:
+    code, stdout = solve_stdout(problem, source, fmt, verify)
+    return {"code": code, "stdout": stdout}
+
+
+def test_solve_golden_covers_every_case():
+    assert set(json.loads(GOLDEN.read_text())) == set(solve_cases())
+
+
 @pytest.mark.parametrize("fmt", ["text", "records"])
 @pytest.mark.parametrize("verify", [False, True])
 @pytest.mark.parametrize("problem,source", SOLVE_CASES)
 def test_solve_golden(problem, source, fmt, verify, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     want = json.loads(GOLDEN.read_text())[_solve_case_id(problem, source, fmt, verify)]
-    code, out = solve_stdout(problem, source, fmt, verify)
-    assert (code, out) == (want["code"], want["stdout"])
+    assert solve_record(problem, source, fmt, verify) == want
 
 
 CHORDAL_128 = ["generate", "--class", "chordal", "--n", "128", "--seed", "0"]
@@ -801,3 +840,10 @@ def test_recognize_is_fast_where_the_search_is_empty(klass, generate, member, tm
     code, recs = run_records(capsys, ["recognize", "--class", klass, str(path)])
     assert time.perf_counter() - start < 0.5
     assert code == 0 and recs[0]["member"] is member
+
+
+if __name__ == "__main__":
+    entries = {cid: partial(solve_record, *case) for cid, case in solve_cases().items()}
+    with tempfile.TemporaryDirectory() as workdir:
+        os.chdir(workdir)  # records name each input by its file name only
+        sys.exit(pins.capture_or_verify(GOLDEN, entries))

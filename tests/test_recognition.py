@@ -1,4 +1,5 @@
 import collections
+import contextlib
 import functools
 import inspect
 import random
@@ -173,6 +174,20 @@ def test_co_bipartite_rejection_skips_the_independent_triple_search(monkeypatch)
     monkeypatch.setattr(recognition, "_find_embedding", counted)
     assert recognize(g, CO_CHAIN) == recognition.Verdict(False, c4, "c4")
     assert searched == ["c4"]
+
+
+def test_ruled_out_by_lists_obstructions_and_tests_that_exist():
+    # a misspelled key only turns its skip off, which costs time but changes
+    # no verdict, so no verdict test would notice it; a misspelled test makes
+    # `_fact` raise, but only on the inputs whose search reaches it
+    searched = {name for names in recognition._OBSTRUCTIONS.values() for name in names}
+    assert set(recognition._RULED_OUT_BY) <= searched
+    listed = {test for tests in recognition._RULED_OUT_BY.values() for test in tests}
+    known = {}
+    for test in sorted(listed):
+        with contextlib.suppress(KeyError):  # a test `_fact` does not compute
+            recognition._fact(pat.cycle_graph(4), test, known)
+    assert listed <= set(known)
 
 
 def test_require_returns_the_certificate_recognition_built():
@@ -524,6 +539,12 @@ NEGATIVE = [
     (kp_free(3), pat.complete_graph(3), "k3"),
     (f_free(pat.diamond()), pat.diamond(), "pattern"),
 ]
+
+
+def test_f_free_refuses_an_empty_pattern():
+    # no graph is free of the empty graph, so the class would be empty
+    with pytest.raises(ValueError, match="at least one vertex"):
+        f_free(pat.empty_graph(0))
 
 
 @pytest.mark.parametrize("label,g", POSITIVE, ids=lambda x: getattr(x, "spelling", ""))
