@@ -5,8 +5,10 @@ induced obstruction (hole, asteroidal triple, or small forbidden pattern)
 that can be re-checked independently.  Interval graphs are recognized as
 chordal plus asteroidal-triple-free, unit interval additionally claw-free,
 and the remaining classes through their finite obstruction sets.  Each base
-class's obstructions are listed once, in `_OBSTRUCTIONS`, and `recognize` is
-the only place that turns them into a rejecting `Verdict`.  `require`, the one
+class's obstructions are listed once, in `_OBSTRUCTIONS`, whose keys are the
+base labels, and `recognize` is the only place that turns them into a
+rejecting `Verdict`.  A `ClassLabel` checks itself when it is made, so
+`recognize` gets only labels that name a class.  `require`, the one
 precondition helper, raises with that obstruction or returns the member's
 verdict, with the split partition or PEO that its test built.
 
@@ -61,6 +63,24 @@ class NotInClassError(ValueError):
         super().__init__(f"input graph is not {class_name}{detail}")
 
 
+# Each base class's forbidden induced subgraphs, in search order.  "hole"
+# and "asteroidal-triple" are searched for directly; every other name is a
+# pattern of `_PATTERNS`.
+_OBSTRUCTIONS = {
+    "chordal": ("hole",),
+    "interval": ("hole", "asteroidal-triple"),
+    "unit-interval": ("hole", "asteroidal-triple", "claw"),
+    "split": ("2k2", "c4", "c5"),
+    "threshold": ("2k2", "c4", "p4"),
+    "complete-split": ("co-p3", "c4"),
+    "trivially-perfect": ("c4", "p4"),
+    "cluster": ("p3",),
+    "block": ("hole", "diamond"),
+    "co-chain": ("i3", "c4", "c5"),
+    "2k2p3": ("2k2", "p3"),
+}
+
+
 @dataclass(frozen=True)
 class ClassLabel:
     """A target graph class; `kp` carries p and `f-free` carries the pattern."""
@@ -68,6 +88,22 @@ class ClassLabel:
     name: str
     p: int | None = None
     pattern: Graph | None = None
+
+    def __post_init__(self) -> None:
+        """Refuse a label that names no class: kp takes an int p >= 2, f-free a
+        pattern of 1 to 8 vertices, and any other name is a base class."""
+        name, p, pattern = self.name, self.p, self.pattern
+        if name not in ("kp", "f-free", *_OBSTRUCTIONS):
+            raise ValueError(f"unknown class label {name!r}")
+        for key, value, owner in (("p", p, "kp"), ("pattern", pattern, "f-free")):
+            if value is not None and name != owner:
+                raise ValueError(f"class label {name!r} takes no {key}")
+        if name == "kp" and not (isinstance(p, int) and p >= 2):
+            raise ValueError("kp-free needs p >= 2")
+        if name == "f-free" and (pattern is None or pattern.n == 0):
+            raise ValueError("f-free needs a pattern with at least one vertex")
+        if name == "f-free" and pattern.n > 8:
+            raise PatternTooLargeError(f"pattern has {pattern.n} > 8 vertices")
 
     @property
     def spelling(self) -> str:
@@ -79,36 +115,16 @@ class ClassLabel:
         return self.name
 
 
-CHORDAL = ClassLabel("chordal")
-INTERVAL = ClassLabel("interval")
-UNIT_INTERVAL = ClassLabel("unit-interval")
-SPLIT = ClassLabel("split")
-THRESHOLD = ClassLabel("threshold")
-COMPLETE_SPLIT = ClassLabel("complete-split")
-TRIVIALLY_PERFECT = ClassLabel("trivially-perfect")
-CLUSTER = ClassLabel("cluster")
-BLOCK = ClassLabel("block")
-CO_CHAIN = ClassLabel("co-chain")
-TWO_K2_P3_FREE = ClassLabel("2k2p3")
-
-BASE_LABELS = {
-    lab.name: lab
-    for lab in (
-        CHORDAL, INTERVAL, UNIT_INTERVAL, SPLIT, THRESHOLD, COMPLETE_SPLIT,
-        TRIVIALLY_PERFECT, CLUSTER, BLOCK, CO_CHAIN, TWO_K2_P3_FREE,
-    )
-}
+BASE_LABELS = {name: ClassLabel(name) for name in _OBSTRUCTIONS}
+(CHORDAL, INTERVAL, UNIT_INTERVAL, SPLIT, THRESHOLD, COMPLETE_SPLIT, TRIVIALLY_PERFECT,
+ CLUSTER, BLOCK, CO_CHAIN, TWO_K2_P3_FREE) = BASE_LABELS.values()
 
 
 def kp_free(p: int) -> ClassLabel:
-    if p < 2:
-        raise ValueError("kp-free needs p >= 2")
     return ClassLabel("kp", p=p)
 
 
 def f_free(pattern: Graph) -> ClassLabel:
-    if pattern.n == 0:
-        raise ValueError("f-free needs a pattern with at least one vertex")
     return ClassLabel("f-free", pattern=pattern)
 
 
@@ -146,8 +162,6 @@ def _find_embedding(g: Graph, f: Graph) -> VertexSet | None:
 
     Deterministic but not necessarily the lexicographically least witness.
     """
-    if f.n == 0:
-        return ()
     if f.n > g.n:
         return None
     need, wants = _search_plan(f)
@@ -450,24 +464,6 @@ _PATTERNS = {
     "diamond": patterns.diamond(),
 }
 
-# Each base class's forbidden induced subgraphs, in search order.  "hole"
-# and "asteroidal-triple" are searched for directly; every other name is a
-# pattern of `_PATTERNS`.
-_OBSTRUCTIONS = {
-    "chordal": ("hole",),
-    "interval": ("hole", "asteroidal-triple"),
-    "unit-interval": ("hole", "asteroidal-triple", "claw"),
-    "split": ("2k2", "c4", "c5"),
-    "threshold": ("2k2", "c4", "p4"),
-    "trivially-perfect": ("c4", "p4"),
-    "cluster": ("p3",),
-    "complete-split": ("co-p3", "c4"),
-    "co-chain": ("i3", "c4", "c5"),
-    "block": ("hole", "diamond"),
-    "2k2p3": ("2k2", "p3"),
-}
-
-
 # Per obstruction, the cheap positive tests that rule it out, in the order
 # they run.  A chordal graph (one with a PEO) has no hole, C4 or C5; a split
 # graph no 2K2, C4 or C5; one with a bipartite complement no independent triple
@@ -488,7 +484,8 @@ def _fact(g: Graph, test: str, known: dict):
     """The split partition ("split"), PEO ("peo") or complement bipartition
     ("co-bipartite") of g, or None when g has none; computed at most once
     per `known`.  "interval-order" and "proper-order" are True when the
-    PEO's `_interval_sweep` finds that ordering, else None."""
+    PEO's `_interval_sweep` finds that ordering, else None.  Any other
+    `test` raises KeyError before any work."""
     if test not in known:
         if test == "split":
             known[test] = split_partition(g)
@@ -496,7 +493,7 @@ def _fact(g: Graph, test: str, known: dict):
             known[test] = chordal_peo(g)
         elif test == "co-bipartite":
             known[test] = bipartition_classes(complement(g))
-        else:
+        elif test in ("interval-order", "proper-order"):
             peo = _fact(g, "peo", known)
             forward, backward = (False, False) if peo is None else _interval_sweep(g, peo)
             known["interval-order"] = forward or backward or None
@@ -578,12 +575,8 @@ def recognize(g: Graph, label: ClassLabel) -> Verdict:
         hit = find_clique_of_size(g, label.p)
         return Verdict(False, hit, f"k{label.p}") if hit is not None else Verdict(True)
     if name == "f-free":
-        if label.pattern.n > 8:
-            raise PatternTooLargeError(f"pattern has {label.pattern.n} > 8 vertices")
         hit = _find_embedding(g, label.pattern)
         return Verdict(False, hit, "pattern") if hit is not None else Verdict(True)
-    if name not in _OBSTRUCTIONS:
-        raise ValueError(f"unknown class label {name!r}")
     known: dict = {}
     certified = _certified(g, name, known)
     if not certified:

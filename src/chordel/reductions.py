@@ -16,6 +16,7 @@ from .graph import (
     VertexSet,
     add_edges,
     build_block_cut_tree,
+    check_vertex_cap,
     disjoint_union,
     vset,
 )
@@ -149,7 +150,8 @@ def reduce_vc_to_ffree(
     every edge uv of g receives a fresh copy of the pattern glued so its
     anchor edge lands on u, v.  The pattern must be biconnected, chordal,
     and not complete; the output is asserted chordal, and split whenever the
-    pattern minus the anchor endpoints has no edges.
+    pattern minus the anchor endpoints has no edges.  An output above the
+    vertex cap is refused before it is built.
     """
     bct = build_block_cut_tree(f)
     if len(bct.blocks) != 1 or f.n < 3:
@@ -163,6 +165,7 @@ def reduce_vc_to_ffree(
     a, b = anchor_edge
     if a not in range(f.n) or b not in range(f.n) or not f.has_edge(a, b):
         raise GraphInputError(f"anchor ({a}, {b}) is not an edge of the pattern")
+    check_vertex_cap(g.n + g.m * (f.n - 2))
 
     rest = [w for w in f.vertices() if w not in (a, b)]
     edges = [(u, v) for u in g.vertices() for v in range(u + 1, g.n)]

@@ -14,6 +14,7 @@ import pytest
 import pins
 from chordel import parse_edge_list, recognize, CHORDAL, SPLIT, THRESHOLD
 from chordel.cli import _GRAPH_SOLVERS, _MODEL_SOLVERS, main
+from chordel import graph
 from chordel.graph import MAX_VERTICES
 
 
@@ -169,6 +170,19 @@ def test_empty_ffree_pattern_exits_2_before_reading_input(command, tmp_path, cap
     assert out.err == "error: f-free needs a pattern with at least one vertex\n"
 
 
+@pytest.mark.parametrize("command, source", [
+    ("recognize", "missing.el"),
+    ("oracle", "path20.el"),  # above the oracle's cap, whose record used to win
+])
+def test_large_ffree_pattern_exits_2_before_reading_input(command, source, tmp_path, capsys):
+    nine = tmp_path / "nine.el"
+    nine.write_text("9 8\n" + "".join(f"{i} {i + 1}\n" for i in range(8)))
+    (tmp_path / "path20.el").write_text("20 19\n" + "".join(f"{i} {i + 1}\n" for i in range(19)))
+    assert main([command, "--class", f"f-free:{nine}", str(tmp_path / source)]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == "error: pattern has 9 > 8 vertices\n"
+
+
 @pytest.mark.parametrize("klass", ["kp:abc", "kp:", "kp:2.5"])
 @pytest.mark.parametrize("command", ["recognize", "oracle"])
 def test_kp_label_without_an_integer_exits_2(command, klass, files, capsys):
@@ -315,6 +329,22 @@ def test_reduce_vc_to_ffree_roundtrip(files, capsys, tmp_path):
     assert g.n == 20
     assert recognize(g, CHORDAL).member
     assert "reduction vc -> f-free" in out.read_text()
+
+
+def test_reduce_vc_image_above_the_vertex_cap_exits_2(capsys, tmp_path, monkeypatch):
+    # 8 + 7 * (5 - 2) = 29 vertices: an image the reader would refuse is not written
+    monkeypatch.setattr(graph, "MAX_VERTICES", 20)
+    fan = tmp_path / "fan.el"
+    fan.write_text("5 7\n0 1\n0 2\n0 3\n0 4\n1 2\n2 3\n3 4\n")
+    path = tmp_path / "path8.el"
+    path.write_text("8 7\n" + "".join(f"{i} {i + 1}\n" for i in range(7)))
+    image = tmp_path / "image.el"
+    argv = ["reduce", "--from", "vc", "--to", "f-free", "--pattern", str(fan),
+            "--output", str(image), str(path)]
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == "error: n = 29 is above the vertex cap 20\n"
+    assert not image.exists()
 
 
 @pytest.mark.parametrize("anchor", ["9,0", "-1,0"])

@@ -547,6 +547,28 @@ def test_f_free_refuses_an_empty_pattern():
         f_free(pat.empty_graph(0))
 
 
+@pytest.mark.parametrize("fields, error, message", [
+    ({"name": "kp"}, ValueError, "kp-free needs p >= 2"),
+    ({"name": "kp", "p": 1}, ValueError, "kp-free needs p >= 2"),
+    ({"name": "kp", "p": 3, "pattern": pat.path_graph(3)}, ValueError, "takes no pattern"),
+    ({"name": "f-free", "pattern": pat.empty_graph(0)}, ValueError, "at least one vertex"),
+    ({"name": "f-free", "pattern": pat.path_graph(9)}, PatternTooLargeError, "9 > 8 vertices"),
+    ({"name": "chordal", "p": 3}, ValueError, "takes no p"),
+    ({"name": "bogus"}, ValueError, "unknown class label 'bogus'"),
+], ids=["kp", "kp-p1", "kp-pattern", "f-free-empty", "f-free-9", "chordal-p3", "bogus"])
+def test_class_label_refuses_a_label_that_names_no_class(fields, error, message):
+    # the exported constructor holds every rule, so no caller can skip one
+    with pytest.raises(error, match=message):
+        recognition.ClassLabel(**fields)
+
+
+def test_fact_refuses_an_unknown_test_before_any_work():
+    known = {}
+    with pytest.raises(KeyError):
+        recognition._fact(pat.cycle_graph(4), "intervl-order", known)
+    assert known == {}
+
+
 @pytest.mark.parametrize("label,g", POSITIVE, ids=lambda x: getattr(x, "spelling", ""))
 def test_recognize_positive(label, g):
     assert recognize(g, label).member

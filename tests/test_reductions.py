@@ -26,6 +26,7 @@ from chordel import (
     split_partition,
     threshold_interval_model,
 )
+from chordel import graph
 from chordel import patterns as pat
 from chordel.reductions import _raw_threshold_intervals
 from chordel.randgen import gen_bipartite, gen_split, gen_threshold
@@ -260,3 +261,12 @@ def test_tent_gadget_on_four_cycle():
     assert best.size == 2 and best.deleted == (0, 2)
     rest, _ = delete_vertices(h, (0, 2))
     assert recognize(rest, f_free(ng.tent())).member
+
+
+def test_vc_to_ffree_refuses_an_image_above_the_vertex_cap(monkeypatch):
+    # the image has g.n + g.m * (f.n - 2) vertices: 8 + 7 * 3 = 29 here, so
+    # it would be written but refused when read back
+    monkeypatch.setattr(graph, "MAX_VERTICES", 20)
+    fan = Graph.from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (2, 3), (3, 4)])
+    with pytest.raises(GraphInputError, match="n = 29 is above the vertex cap 20"):
+        reduce_vc_to_ffree(pat.path_graph(8), fan)
