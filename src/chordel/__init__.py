@@ -7,7 +7,6 @@ certifies all of the above at small scale.
 """
 
 from .graph import (
-    BlockCutTree,
     DeletionResult,
     Graph,
     GraphInputError,

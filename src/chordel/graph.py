@@ -6,7 +6,6 @@ iteration is in ascending vertex id so downstream solvers are reproducible.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, TYPE_CHECKING
@@ -238,23 +237,14 @@ def bipartition_classes(g: Graph) -> tuple[VertexSet, VertexSet] | None:
     return left, right
 
 
-@dataclass(frozen=True)
-class BlockCutTree:
-    """Blocks, cut vertices, and the bipartite block/cut-vertex incidences."""
-
-    blocks: tuple[VertexSet, ...]
-    cut_vertices: VertexSet
-    edges: tuple[tuple[int, int], ...]  # (block index, cut vertex id)
-
-
-def build_block_cut_tree(g: Graph) -> BlockCutTree:
+def build_block_cut_tree(g: Graph) -> tuple[VertexSet, ...]:
     """Biconnected components by the classic lowpoint DFS, iterative form: a
     stack of (vertex, parent, its place in `pending`, iterator over its sorted
     neighbours).  `pending` lists the vertices discovered but not yet in a
     block; a child v with low[v] >= disc[parent] closes v's part of it.
 
-    Isolated vertices become singleton blocks so every vertex lives in at
-    least one block; the cut vertices are those in more than one block.
+    Returns the blocks as sorted vertex tuples; isolated vertices become
+    singleton blocks, so every vertex lies in at least one block.
     """
     disc = [-1] * g.n
     low = [0] * g.n
@@ -289,9 +279,4 @@ def build_block_cut_tree(g: Graph) -> BlockCutTree:
                     if low[v] >= disc[pv]:
                         blocks.append(vset([pv, *pending[at:]]))
                         del pending[at:]
-
-    cuts = {v for v, k in Counter(v for blk in blocks for v in blk).items() if k > 1}
-    edges = tuple(
-        (bi, v) for bi, blk in enumerate(blocks) for v in blk if v in cuts
-    )
-    return BlockCutTree(tuple(blocks), vset(cuts), edges)
+    return tuple(blocks)

@@ -107,24 +107,32 @@ def _adjacency(lines: list[str], n: int, ix: dict[str, int]) -> list[set[int]]:
     return adj
 
 
+def writable_labels(labels: list[str] | None, n: int) -> list[str]:
+    """`labels`, or the ids when None.  Explicit labels must read back as
+    written, one per vertex: a label that is empty, holds whitespace, starts
+    with "#" or repeats is refused, as is a list of the wrong length."""
+    if labels is None:
+        return [str(i) for i in range(n)]
+    if len(labels) != n:
+        raise GraphInputError("label list length mismatch")
+    seen = set()
+    for lab in labels:
+        if lab.split() != [lab] or lab[0] == "#" or lab in seen:
+            raise GraphInputError(f"label {lab!r} cannot be written: it would not read back")
+        seen.add(lab)
+    return labels
+
+
 def write_edge_list(
     g: Graph, labels: list[str] | None = None, comments: tuple[str, ...] = ()
 ) -> str:
-    """Deterministic edge-list text: header, then edges ascending.
-
-    Explicit labels must read back as written: a label that is empty, holds
-    whitespace, starts with "#" or repeats is refused before any text is made.
-    """
-    if labels is None:
-        labels = [str(i) for i in range(g.n)]
-    elif len(labels) != g.n:
-        raise GraphInputError("label list length mismatch")
-    else:
-        seen = set()
-        for lab in labels:
-            if lab.split() != [lab] or lab[0] == "#" or lab in seen:
-                raise GraphInputError(f"label {lab!r} cannot be written: it would not read back")
-            seen.add(lab)
+    """Deterministic edge-list text: header, then edges ascending.  Labels
+    that `writable_labels` refuses, and a comment that would not stay one
+    line, are refused before any text is made."""
+    labels = writable_labels(labels, g.n)
+    for c in comments:
+        if c.splitlines() not in ([], [c]):
+            raise GraphInputError(f"comment {c!r} cannot be written: it is not one line")
     out = [f"# {c}" for c in comments]
     out.append(f"{g.n} {g.m}")
     out.extend(f"{labels[u]} {labels[v]}" for u, v in g.edges())

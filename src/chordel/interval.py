@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .graph import Graph, GraphInputError, VertexSet, vset
-from .graphio import data_lines
+from .graphio import data_lines, writable_labels
 from .recognition import CLUSTER, COMPLETE_SPLIT, recognize
 
 
@@ -118,12 +118,10 @@ def parse_interval_model(text: str) -> tuple[IntervalModel, list[str]]:
 
 
 def write_interval_model(m: IntervalModel, labels: list[str] | None = None) -> str:
-    if labels is None:
-        labels = [str(i) for i in range(m.n)]
-    lines = [
-        f"{labels[v]} {m.left(v)} {m.right(v)}" for v in range(m.n)
-    ]
-    return "\n".join(lines) + "\n"
+    """One "label l r" line per vertex; labels as `graphio.writable_labels`
+    allows them."""
+    labels = writable_labels(labels, m.n)
+    return "\n".join(f"{labels[v]} {m.left(v)} {m.right(v)}" for v in range(m.n)) + "\n"
 
 
 def _prepared(m: IntervalModel) -> tuple[IntervalModel, list[int], list[int]]:

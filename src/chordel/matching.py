@@ -1,8 +1,9 @@
 """Maximum bipartite matching and minimum vertex cover.
 
-Hopcroft-Karp layered augmentation with ties broken by ascending vertex id,
-then the Koenig construction for the cover.  The cover is re-verified against
-every edge and against the matching size before it is returned.
+Hopcroft-Karp layered augmentation, then the Koenig construction for the
+cover: the unique minimum cover with the fewest right vertices, the same for
+every maximum matching (Dulmage-Mendelsohn 1958) and so for any input order.
+It is re-verified against every edge and the matching size before it returns.
 """
 
 from __future__ import annotations

@@ -33,7 +33,6 @@ from typing import Iterable
 
 from . import patterns
 from .graph import (
-    BlockCutTree,
     Graph,
     VertexSet,
     bipartition_classes,
@@ -520,10 +519,10 @@ def _first_obstruction(g: Graph, names: tuple[str, ...], known: dict) -> Verdict
     return Verdict(True)
 
 
-def blocks_are_cliques(g: Graph, tree: BlockCutTree) -> bool:
-    """The block certificate: every biconnected component of g, the blocks
-    of its block-cut tree, is a clique."""
-    return sum(len(b) * (len(b) - 1) for b in tree.blocks) // 2 == g.m
+def blocks_are_cliques(g: Graph, blocks: tuple[VertexSet, ...]) -> bool:
+    """The block certificate: every biconnected component of g, as
+    `graph.build_block_cut_tree` returns them, is a clique."""
+    return sum(len(b) * (len(b) - 1) for b in blocks) // 2 == g.m
 
 
 def _certified(g: Graph, name: str, known: dict) -> bool | None:

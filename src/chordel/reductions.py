@@ -153,8 +153,7 @@ def reduce_vc_to_ffree(
     pattern minus the anchor endpoints has no edges.  An output above the
     vertex cap is refused before it is built.
     """
-    bct = build_block_cut_tree(f)
-    if len(bct.blocks) != 1 or f.n < 3:
+    if len(build_block_cut_tree(f)) != 1 or f.n < 3:
         raise GraphInputError("pattern must be biconnected")
     if chordal_peo(f) is None:
         raise GraphInputError("pattern must be chordal")

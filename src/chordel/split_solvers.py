@@ -6,10 +6,10 @@ lexicographically least set), and check it once with the recognizer.
 
 On a split partition (C, I) every candidate is F ∪ cover(C − F, I − S): the
 move (F, S) deletes the clique vertices F and keeps the independent vertices
-S (at most two) attached, and a minimum vertex cover removes the cross edges
-left between C − F and I − S.  The {2K2, P3}-free moves are (∅, ∅) and
-(C − N(v), {v}) for each v in I.  Unit interval adds (∅, {v}),
-(C ∩ N(v1) ∩ N(v2), {v1, v2}) and (C − N(v1) − N(v2), {v1, v2}).
+S (at most two) attached, and `matching`'s canonical minimum vertex cover
+removes the cross edges left between C − F and I − S.  The {2K2, P3}-free
+moves are (∅, ∅) and (C − N(v), {v}) for each v in I.  Unit interval adds
+(∅, {v}), (C ∩ N(v1) ∩ N(v2), {v1, v2}) and (C − N(v1) − N(v2), {v1, v2}).
 
 Each solve is a branch and bound over that family.  A move's size is bounded
 below by |forced| + |F| plus a greedy maximal matching of the cross edges
@@ -50,11 +50,10 @@ def _is_degenerate(g: Graph) -> bool:
     return g.n == 0 or g.m == 0 or g.m == g.n * (g.n - 1) // 2
 
 
-def _cross_cover(g: Graph, clique_side, indep_side) -> VertexSet:
-    """Min vertex cover of the clique-to-independent cross edges, original ids."""
-    indep = frozenset(indep_side)
-    lefts = sorted(clique_side)
-    return cover_from_adjacency(lefts, {u: sorted(g.adj[u] & indep) for u in lefts})
+def _cross_cover(g: Graph, cliq, indep) -> VertexSet:
+    """Min vertex cover of the clique-to-independent cross edges, original ids;
+    the cover does not depend on the order of its inputs, so none is sorted."""
+    return cover_from_adjacency(list(cliq), {u: list(g.adj[u].intersection(indep)) for u in cliq})
 
 
 def _moves(g: Graph, cliq, indep, pairs: bool) -> list[tuple[frozenset, frozenset]]:

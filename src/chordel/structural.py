@@ -5,8 +5,9 @@ the forest itself or the block-cut tree, each component rooted by the one
 breadth-first walk `graph.rooted_forest`, which reads the forest's
 adjacency or the tree nodes' `meets`; a round re-roots only the pieces it
 cut off.  The forest test counts the roots of the first rooting; the
-block-cut tree is built once per solve, and its blocks, kept as vertex
-tuples, are the block certificate (`recognition.blocks_are_cliques`).
+blocks, found once per solve as vertex tuples, are the block certificate
+(`recognition.blocks_are_cliques`), and the tree's cut vertices are read
+from the live blocks each vertex lies in.
 chordal->co-chain picks the best pair of maximal cliques; chordal->K2-free
 keeps the perfect-elimination greedy's maximum independent set.  The
 chordal solvers run on the PEO that recognition built,
@@ -103,17 +104,18 @@ def delete_to_cluster_block(g: Graph) -> DeletionResult:
     grandparent block except v.  Detached pieces are re-examined on the next
     round; a piece that is a clique is a single block, and has no leaf.
 
-    The tree is built once.  Blocks are cliques, so a deletion only shrinks
-    the blocks holding the vertex; one left with a vertex that lies in
-    another block is gone.  What is left is the old forest less the nodes
-    that went, so a round re-roots only the pieces those nodes cut off, and
-    the root's piece when its root block shrank (another block that shrinks
-    keeps two vertices, so its tuple stays above the root's).
+    The blocks are found once; `homes` holds the live blocks of each vertex, so
+    a vertex stops being a cut vertex as blocks shrink.  Blocks are cliques, so
+    a deletion only shrinks the blocks holding the vertex; one left with a
+    vertex that lies in another block is gone.  What is left is the old forest
+    less the nodes that went, so a round re-roots only the pieces those nodes
+    cut off, and the root's piece when its root block shrank (another block
+    that shrinks keeps two vertices, so its tuple stays above the root's).
     """
-    tree = build_block_cut_tree(g)
-    if not blocks_are_cliques(g, tree):
+    found = build_block_cut_tree(g)
+    if not blocks_are_cliques(g, found):
         require(g, BLOCK)  # raises with the hole or diamond
-    blocks = dict(enumerate(tree.blocks))  # the live ones
+    blocks = dict(enumerate(found))  # the live ones
     homes = {v: set() for v in g.vertices()}  # the live blocks holding each vertex
     for bi, blk in blocks.items():
         for w in blk:

@@ -10,6 +10,7 @@ they return, witness for witness and order for order.
 
 import random
 from bisect import bisect_left, bisect_right
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -22,7 +23,6 @@ from chordel import (
     induced_subgraph,
 )
 from chordel.graph import (
-    BlockCutTree,
     DeletionResult,
     VertexSet,
     check_vertex_cap,
@@ -493,8 +493,18 @@ def connected_components_reference(g: Graph) -> list[VertexSet]:
     return comps
 
 
-def build_block_cut_tree_reference(g: Graph) -> BlockCutTree:
-    """Biconnected components by the classic lowpoint DFS, iterative form.
+@dataclass(frozen=True)
+class BlockCutTreeReference:
+    """Blocks, cut vertices, and the bipartite block/cut-vertex incidences."""
+
+    blocks: tuple[VertexSet, ...]
+    cut_vertices: VertexSet
+    edges: tuple[tuple[int, int], ...]  # (block index, cut vertex id)
+
+
+def build_block_cut_tree_reference(g: Graph) -> BlockCutTreeReference:
+    """Biconnected components by the classic lowpoint DFS, iterative form,
+    with the cut vertices that DFS finds and the tree's incidences.
 
     Isolated vertices become singleton blocks so every vertex lives in at
     least one block.
@@ -559,7 +569,7 @@ def build_block_cut_tree_reference(g: Graph) -> BlockCutTree:
     edges = tuple(
         (bi, v) for bi, blk in enumerate(blocks) for v in blk if v in cuts
     )
-    return BlockCutTree(tuple(blocks), vset(cuts), edges)
+    return BlockCutTreeReference(tuple(blocks), vset(cuts), edges)
 
 
 def find_clique_of_size_reference(g: Graph, p: int) -> VertexSet | None:

@@ -347,6 +347,18 @@ def test_reduce_vc_image_above_the_vertex_cap_exits_2(capsys, tmp_path, monkeypa
     assert not image.exists()
 
 
+def test_reduce_input_path_with_a_newline_exits_2(capsys, tmp_path):
+    # the path goes into a "# source" comment, which would end up as two lines
+    src = tmp_path / "two\nlines.el"
+    src.write_text(P3)
+    image = tmp_path / "image.el"
+    argv = ["reduce", "--from", "chain", "--to", "threshold", "--output", str(image), str(src)]
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "cannot be written: it is not one line" in out.err
+    assert not image.exists()
+
+
 @pytest.mark.parametrize("anchor", ["9,0", "-1,0"])
 def test_reduce_vc_anchor_outside_the_pattern_exits_2(anchor, tmp_path, capsys):
     diamond = tmp_path / "diamond.el"

@@ -1,5 +1,6 @@
 import random
 import re
+from collections import Counter
 
 import pytest
 
@@ -170,7 +171,11 @@ def test_complement_edge_count():
 
 
 def _same_walks(g, ps) -> None:
-    assert build_block_cut_tree(g) == bf.build_block_cut_tree_reference(g)
+    blocks, ref = build_block_cut_tree(g), bf.build_block_cut_tree_reference(g)
+    assert blocks == ref.blocks
+    # a cut vertex lies in more than one block; the reference's DFS finds them on its own
+    homes = Counter(v for b in blocks for v in b)
+    assert tuple(sorted(v for v, k in homes.items() if k > 1)) == ref.cut_vertices
     for p in ps:
         assert find_clique_of_size(g, p) == bf.find_clique_of_size_reference(g, p), p
 
@@ -264,6 +269,18 @@ def test_write_edge_list_refuses_labels_that_would_not_read_back(label):
     g = ng.double_star(1, 1)  # 4 vertices
     with pytest.raises(GraphInputError, match=re.escape(repr(label))):
         write_edge_list(g, ["a", "b", "c", label])
+
+
+@pytest.mark.parametrize("comment", ["two\nlines", "a\rb", "ends in a break\n", "a\u2028b"])
+def test_write_edge_list_refuses_a_comment_that_is_not_one_line(comment):
+    with pytest.raises(GraphInputError, match=re.escape(repr(comment))):
+        write_edge_list(pat.path_graph(3), comments=("one line", comment))
+
+
+def test_write_edge_list_keeps_one_line_comments():
+    text = write_edge_list(pat.path_graph(3), comments=("", "source a.el"))
+    assert text == "# \n# source a.el\n3 2\n0 1\n1 2\n"
+    assert sniff_and_parse(text)[0] == pat.path_graph(3)
 
 
 def test_write_edge_list_keeps_writable_labels():

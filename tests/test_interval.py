@@ -72,6 +72,15 @@ def test_model_file_roundtrip():
         parse_interval_model("a 1 2\na 3 4\n")
 
 
+@pytest.mark.parametrize(
+    "labels", [["#x", "y"], ["x y", "y"], ["", "y"], ["y", "y"], ["y"], ["x", "y", "z"]]
+)
+def test_write_interval_model_refuses_labels_that_would_not_read_back(labels):
+    # "#x 1 2" would read back as a comment, and a short list ran out of labels
+    with pytest.raises(GraphInputError, match="label"):
+        write_interval_model(model((1, 2), (3, 4)), labels)
+
+
 def test_endpoints_are_ints_unless_fractional():
     def types(m):
         return [type(x) for iv in m.intervals for x in iv]

@@ -1,3 +1,6 @@
+import random
+from itertools import combinations
+
 import pytest
 
 import bruteforce as bf
@@ -95,3 +98,54 @@ def test_cover_survives_long_alternating_chain():
     adj[chain] = [r0]
     cover = cover_from_adjacency(list(range(chain + 1)), adj)
     assert len(cover) == chain + 1
+
+
+def _fewest_rights_min_cover(lefts, adj) -> tuple:
+    """The minimum vertex covers, by enumerating vertex sets by size, and the
+    one with the fewest right vertices, asserted to be the only one."""
+    edges = [(l, r) for l in lefts for r in adj[l]]
+    rights = sorted({r for _, r in edges})
+    verts = sorted(lefts) + rights
+    for k in range(len(verts) + 1):
+        covers = [
+            c for c in combinations(verts, k)
+            if all(l in c or r in c for l, r in edges)
+        ]
+        if covers:
+            least = min(sum(v in rights for v in c) for c in covers)
+            (cover,) = [c for c in covers if sum(v in rights for v in c) == least]
+            return tuple(sorted(cover))
+    raise AssertionError("unreachable")
+
+
+def _bipartite_adjacencies():
+    """Every bipartite graph with at most 3 + 3 vertices (lefts 0.., rights
+    10..), then seeded ones with up to 6 + 6."""
+    for nl in range(4):
+        for nr in range(4):
+            pairs = [(l, 10 + r) for l in range(nl) for r in range(nr)]
+            for bits in range(1 << len(pairs)):
+                adj = {l: [] for l in range(nl)}
+                for i, (l, r) in enumerate(pairs):
+                    if bits >> i & 1:
+                        adj[l].append(r)
+                yield list(range(nl)), adj
+    rng = random.Random(7)
+    for _ in range(150):
+        nl, nr, p = rng.randint(1, 6), rng.randint(1, 6), rng.random()
+        yield list(range(nl)), {l: [10 + r for r in range(nr) if rng.random() < p] for l in range(nl)}
+
+
+def test_cover_is_the_canonical_minimum_cover_whatever_the_input_order():
+    """The Koenig cover from the free lefts is the unique minimum cover with
+    the fewest right vertices (Dulmage-Mendelsohn), so it does not depend on
+    which maximum matching is found: shuffling the lefts and every adjacency
+    list returns the same set."""
+    rng = random.Random(1)
+    for lefts, adj in _bipartite_adjacencies():
+        cover = cover_from_adjacency(lefts, adj)
+        assert cover == _fewest_rights_min_cover(lefts, adj), adj
+        for _ in range(3):
+            order = rng.sample(lefts, len(lefts))
+            shuffled = {l: rng.sample(rs, len(rs)) for l, rs in adj.items()}
+            assert cover_from_adjacency(order, shuffled) == cover, (order, shuffled)

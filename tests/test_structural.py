@@ -1,3 +1,4 @@
+import collections
 import functools
 import random
 
@@ -32,28 +33,19 @@ def two_triangles():
 
 
 def test_block_cut_tree_p3():
-    bct = build_block_cut_tree(pat.path_graph(3))
-    assert sorted(bct.blocks) == [(0, 1), (1, 2)]
-    assert bct.cut_vertices == (1,)
-    assert sorted(bct.edges) == [(0, 1), (1, 1)]
+    assert sorted(build_block_cut_tree(pat.path_graph(3))) == [(0, 1), (1, 2)]
 
 
 def test_block_cut_tree_k4():
-    bct = build_block_cut_tree(pat.complete_graph(4))
-    assert bct.blocks == ((0, 1, 2, 3),)
-    assert bct.cut_vertices == ()
+    assert build_block_cut_tree(pat.complete_graph(4)) == ((0, 1, 2, 3),)
 
 
 def test_block_cut_tree_two_triangles():
-    bct = build_block_cut_tree(two_triangles())
-    assert sorted(bct.blocks) == [(0, 1, 2), (2, 3, 4)]
-    assert bct.cut_vertices == (2,)
+    assert sorted(build_block_cut_tree(two_triangles())) == [(0, 1, 2), (2, 3, 4)]
 
 
 def test_block_cut_tree_isolated_vertices():
-    bct = build_block_cut_tree(pat.empty_graph(3))
-    assert bct.blocks == ((0,), (1,), (2,))
-    assert bct.cut_vertices == ()
+    assert build_block_cut_tree(pat.empty_graph(3)) == ((0,), (1,), (2,))
 
 
 def test_block_cut_tree_matches_networkx():
@@ -65,15 +57,17 @@ def test_block_cut_tree_matches_networkx():
             (i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.3
         ]
         g = Graph.from_edges(n, edges)
-        bct = build_block_cut_tree(g)
+        blocks = build_block_cut_tree(g)
         ng = nx.Graph()
         ng.add_nodes_from(range(n))
         ng.add_edges_from(edges)
         theirs = {
             frozenset(c) for c in nx.biconnected_components(ng)
         } | {frozenset({v}) for v in range(n) if ng.degree(v) == 0}
-        assert {frozenset(b) for b in bct.blocks} == theirs
-        assert set(bct.cut_vertices) == set(nx.articulation_points(ng))
+        assert {frozenset(b) for b in blocks} == theirs
+        # a cut vertex is one that lies in more than one block
+        homes = collections.Counter(v for b in blocks for v in b)
+        assert {v for v, k in homes.items() if k > 1} == set(nx.articulation_points(ng))
 
 
 def test_tree_cluster_p3():
