@@ -1,14 +1,18 @@
 """Maximum bipartite matching and minimum vertex cover.
 
-Hopcroft-Karp layered augmentation, then the Koenig construction for the
-cover: the unique minimum cover with the fewest right vertices, the same for
-every maximum matching (Dulmage-Mendelsohn 1958) and so for any input order.
-It is re-verified against every edge and the matching size before it returns.
+Hopcroft-Karp layered augmentation (Hopcroft-Karp 1973).  Its last layered
+search, from the free lefts, reaches no free right, so the lefts it reaches
+are exactly those that alternating paths reach, and the Koenig cover is read
+off it: the unreached lefts plus every right next to a reached left.  That is
+the unique minimum cover with the fewest right vertices, the same for every
+maximum matching (Dulmage-Mendelsohn 1958) and so for any input order.  It
+is re-verified against every edge and the matching size before it returns.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Collection, KeysView
 from dataclasses import dataclass
 
 from .graph import Graph, GraphInputError, VertexSet, vset
@@ -32,9 +36,10 @@ def check_bipartition(g: Graph, b: Bipartition) -> None:
 
 
 def _hopcroft_karp(
-    lefts: list[int], adj: dict[int, list[int]]
-) -> tuple[dict[int, int], dict[int, int]]:
-    """Matching as left-to-right and right-to-left maps."""
+    lefts: Collection[int], adj: dict[int, Collection[int]]
+) -> tuple[dict[int, int], KeysView[int]]:
+    """Matching as a left-to-right map, and the lefts that the last layered
+    search reached: those that alternating paths from the free lefts reach."""
     match_l: dict[int, int] = {}
     match_r: dict[int, int] = {}
     while True:
@@ -55,7 +60,7 @@ def _hopcroft_karp(
                     dist[nxt] = dist[l] + 1
                     queue.append(nxt)
         if not reached_free:
-            return match_l, match_r
+            return match_l, dist.keys()
 
         def augment(root: int) -> bool:
             # depth-first along the layers with an explicit stack, so long
@@ -84,53 +89,30 @@ def _hopcroft_karp(
                 augment(l)
 
 
-def _cross_adjacency(g: Graph, b: Bipartition) -> dict[int, list[int]]:
-    return {l: sorted(g.adj[l]) for l in b.left}
-
-
 def max_matching(g: Graph, b: Bipartition) -> list[tuple[int, int]]:
     """Maximum-cardinality matching as (left, right) pairs, ascending."""
     check_bipartition(g, b)
-    match_l, _ = _hopcroft_karp(list(b.left), _cross_adjacency(g, b))
+    match_l, _ = _hopcroft_karp(b.left, {l: sorted(g.adj[l]) for l in b.left})
     return sorted(match_l.items())
 
 
-def cover_from_adjacency(lefts: list[int], adj: dict[int, list[int]]) -> VertexSet:
-    """Minimum vertex cover of the bipartite graph given as left adjacency.
-
-    Runs the matching, then walks alternating paths from the free left
-    vertices; the cover is the unreached lefts plus the reached rights.
-    """
-    match_l, match_r = _hopcroft_karp(lefts, adj)
-
-    visited_l: set[int] = set()
-    visited_r: set[int] = set()
-    stack = [l for l in lefts if l not in match_l]
-    visited_l.update(stack)
-    while stack:
-        l = stack.pop()
-        for r in adj[l]:
-            if match_l.get(l) == r or r in visited_r:
-                continue
-            visited_r.add(r)
-            back = match_r.get(r)
-            if back is not None and back not in visited_l:
-                visited_l.add(back)
-                stack.append(back)
-
-    rights = {r for rs in adj.values() for r in rs}
-    cover = vset((set(lefts) - visited_l) | (rights & visited_r))
+def cover_from_adjacency(lefts: Collection[int], adj: dict[int, Collection[int]]) -> VertexSet:
+    """Minimum vertex cover of the bipartite graph given as left adjacency:
+    `lefts` is any collection, and `adj` maps each left to any collection of
+    its rights, in any order.  The cover is the lefts that the matching's last
+    layered search did not reach, plus the rights next to those it did."""
+    match_l, reached = _hopcroft_karp(lefts, adj)
+    cover = (set(lefts) - reached) | {r for l in reached for r in adj[l]}
     if len(cover) != len(match_l):
         raise AssertionError("Koenig equality violated")
-    cov = set(cover)
     for l, rs in adj.items():
         for r in rs:
-            if l not in cov and r not in cov:
+            if l not in cover and r not in cover:
                 raise AssertionError(f"edge ({l}, {r}) left uncovered")
-    return cover
+    return vset(cover)
 
 
 def min_vertex_cover(g: Graph, b: Bipartition) -> VertexSet:
-    """Minimum vertex cover from the matching's alternating reachability."""
+    """Minimum vertex cover, read off the matching's last layered search."""
     check_bipartition(g, b)
-    return cover_from_adjacency(list(b.left), _cross_adjacency(g, b))
+    return cover_from_adjacency(b.left, {l: g.adj[l] for l in b.left})

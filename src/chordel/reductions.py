@@ -174,11 +174,8 @@ def reduce_vc_to_ffree(
         for w in rest:
             placed[w] = nxt
             nxt += 1
-        edges.extend(
-            (min(placed[x], placed[y]), max(placed[x], placed[y]))
-            for x, y in f.edges()
-        )
-    out = Graph.from_edges(nxt, sorted(set(edges)))
+        edges.extend((placed[x], placed[y]) for x, y in f.edges())
+    out = Graph.from_edges(nxt, edges)
 
     if chordal_peo(out) is None:
         raise AssertionError("gadget output is not chordal")

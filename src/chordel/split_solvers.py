@@ -53,7 +53,7 @@ def _is_degenerate(g: Graph) -> bool:
 def _cross_cover(g: Graph, cliq, indep) -> VertexSet:
     """Min vertex cover of the clique-to-independent cross edges, original ids;
     the cover does not depend on the order of its inputs, so none is sorted."""
-    return cover_from_adjacency(list(cliq), {u: list(g.adj[u].intersection(indep)) for u in cliq})
+    return cover_from_adjacency(cliq, {u: g.adj[u].intersection(indep) for u in cliq})
 
 
 def _moves(g: Graph, cliq, indep, pairs: bool) -> list[tuple[frozenset, frozenset]]:

@@ -10,6 +10,7 @@ they return, witness for witness and order for order.
 
 import random
 from bisect import bisect_left, bisect_right
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -804,6 +805,103 @@ def cochain_deleted(g: Graph) -> tuple:
             if (len(gone), gone) < (len(best), best):
                 best = gone
     return best
+
+
+# The matching layer as it was before the cover was read off Hopcroft-Karp's
+# last layered search: the matching returned as both maps, and the cover
+# found by a second walk of the alternating paths from the free lefts.
+# Bodies unchanged, but for the name of the matching called; the matching
+# tests hold `max_matching` and `cover_from_adjacency` to them.
+
+_INF = float("inf")
+
+
+def hopcroft_karp_reference(
+    lefts: list[int], adj: dict[int, list[int]]
+) -> tuple[dict[int, int], dict[int, int]]:
+    """Matching as left-to-right and right-to-left maps."""
+    match_l: dict[int, int] = {}
+    match_r: dict[int, int] = {}
+    while True:
+        dist: dict[int, float] = {}
+        queue = deque()
+        for l in lefts:
+            if l not in match_l:
+                dist[l] = 0
+                queue.append(l)
+        reached_free = False
+        while queue:
+            l = queue.popleft()
+            for r in adj[l]:
+                nxt = match_r.get(r)
+                if nxt is None:
+                    reached_free = True
+                elif nxt not in dist:
+                    dist[nxt] = dist[l] + 1
+                    queue.append(nxt)
+        if not reached_free:
+            return match_l, match_r
+
+        def augment(root: int) -> bool:
+            # depth-first along the layers with an explicit stack, so long
+            # alternating chains stay clear of the recursion limit
+            stack, taken = [(root, iter(adj[root]))], []  # taken: right per level
+            while stack:
+                l, rest = stack[-1]
+                for r in rest:
+                    nxt = match_r.get(r)
+                    if nxt is None:
+                        for (u, _), w in zip(stack, taken + [r]):
+                            match_l[u], match_r[w] = w, u
+                        return True
+                    if dist.get(nxt) == dist[l] + 1:
+                        taken.append(r)
+                        stack.append((nxt, iter(adj[nxt])))
+                        break
+                else:
+                    dist[l] = _INF
+                    stack.pop()
+                    del taken[-1:]
+            return False
+
+        for l in lefts:
+            if l not in match_l:
+                augment(l)
+
+
+def cover_from_adjacency_reference(lefts: list[int], adj: dict[int, list[int]]) -> VertexSet:
+    """Minimum vertex cover of the bipartite graph given as left adjacency.
+
+    Runs the matching, then walks alternating paths from the free left
+    vertices; the cover is the unreached lefts plus the reached rights.
+    """
+    match_l, match_r = hopcroft_karp_reference(lefts, adj)
+
+    visited_l: set[int] = set()
+    visited_r: set[int] = set()
+    stack = [l for l in lefts if l not in match_l]
+    visited_l.update(stack)
+    while stack:
+        l = stack.pop()
+        for r in adj[l]:
+            if match_l.get(l) == r or r in visited_r:
+                continue
+            visited_r.add(r)
+            back = match_r.get(r)
+            if back is not None and back not in visited_l:
+                visited_l.add(back)
+                stack.append(back)
+
+    rights = {r for rs in adj.values() for r in rs}
+    cover = vset((set(lefts) - visited_l) | (rights & visited_r))
+    if len(cover) != len(match_l):
+        raise AssertionError("Koenig equality violated")
+    cov = set(cover)
+    for l, rs in adj.items():
+        for r in rs:
+            if l not in cov and r not in cov:
+                raise AssertionError(f"edge ({l}, {r}) left uncovered")
+    return cover
 
 
 # Reference candidate families for the split solvers: the three builders

@@ -229,6 +229,14 @@ def test_union_add_remove_edges():
     g2 = add_edges(g, [(1, 2)])
     assert g2.edges() == [(0, 1), (1, 2), (2, 3)]
     assert remove_edges(g2, [(1, 2)]).edges() == g.edges()
+    # `from_edges` checks the extra edges: named as given, range first
+    for extra, error in (
+        ((5, 1), r"edge \(5, 1\) out of range for n = 4"),
+        ((7, 7), r"edge \(7, 7\) out of range for n = 4"),
+        ((1, 1), r"self-loop \(1, 1\)"),
+    ):
+        with pytest.raises(GraphInputError, match=error):
+            add_edges(g, [(0, 2), extra])
 
 
 def test_bipartition_classes():

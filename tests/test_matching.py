@@ -15,8 +15,9 @@ from chordel import (
     min_vertex_cover,
 )
 from chordel import patterns as pat
+from chordel import split_solvers
 from chordel.matching import cover_from_adjacency
-from chordel.randgen import gen_bipartite
+from chordel.randgen import gen_bipartite, gen_split
 
 
 def test_remove_clique_edges_double_star():
@@ -149,3 +150,65 @@ def test_cover_is_the_canonical_minimum_cover_whatever_the_input_order():
             order = rng.sample(lefts, len(lefts))
             shuffled = {l: rng.sample(rs, len(rs)) for l, rs in adj.items()}
             assert cover_from_adjacency(order, shuffled) == cover, (order, shuffled)
+
+
+def _seeded_adjacencies():
+    """Seeded bipartite graphs with up to 40 + 40 vertices at densities 0.05
+    to 0.9, the two sides drawn from one shuffled id range."""
+    rng = random.Random(30)
+    for p in (0.05, 0.1, 0.2, 0.35, 0.5, 0.7, 0.9):
+        for _ in range(25):
+            nl, nr = rng.randint(1, 40), rng.randint(1, 40)
+            ids = rng.sample(range(nl + nr), nl + nr)
+            lefts, rights = ids[:nl], ids[nl:]
+            yield lefts, {l: [r for r in rights if rng.random() < p] for l in lefts}
+
+
+def test_cover_matches_reference_on_seeded_graphs_in_any_container_and_order():
+    """The cover read off the last layered search equals the cover of the
+    second alternating walk, whatever collection holds the lefts and each
+    adjacency, and in whatever order they come."""
+    rng = random.Random(2)
+    for lefts, adj in _seeded_adjacencies():
+        want = bf.cover_from_adjacency_reference(lefts, adj)
+        for kind in (list, tuple, set, frozenset):
+            order = rng.sample(lefts, len(lefts))
+            shuffled = {l: kind(rng.sample(adj[l], len(adj[l]))) for l in order}
+            assert cover_from_adjacency(kind(order), shuffled) == want, (kind, lefts, adj)
+
+
+def test_split_solver_covers_match_reference(monkeypatch):
+    """Every cover the split solvers ask for, on the inputs `_cross_cover`
+    really passes (a frozenset or tuple of lefts, frozenset adjacencies)."""
+    calls = []
+
+    def recorded(lefts, adj, _real=split_solvers.cover_from_adjacency):
+        cover = _real(lefts, adj)
+        calls.append((lefts, adj, cover))
+        return cover
+
+    monkeypatch.setattr(split_solvers, "cover_from_adjacency", recorded)
+    for p in (0.2, 0.5, 0.8):
+        for seed in range(4):
+            g = gen_split(128, p, seed)
+            split_solvers.delete_to_2k2p3(g)
+            split_solvers.delete_to_complete_split(g)
+            # unit interval makes its covers on moved sides, with a forced set
+            split_solvers.delete_to_unit_interval_split(gen_split(24, p, seed))
+    assert len(calls) > 100
+    for lefts, adj, cover in calls:
+        want = bf.cover_from_adjacency_reference(list(lefts), {l: list(rs) for l, rs in adj.items()})
+        assert cover == want
+
+
+def test_max_matching_pairs_match_reference():
+    """`max_matching` returns the very pairs the earlier matching returned
+    on sorted adjacency lists, not only as many."""
+    for n in (2, 9, 30, 80):
+        for p in (0.05, 0.2, 0.5, 0.9):
+            for seed in range(5):
+                g, sides = gen_bipartite(n, p, seed)
+                match_l, _ = bf.hopcroft_karp_reference(
+                    list(sides.left), {l: sorted(g.adj[l]) for l in sides.left}
+                )
+                assert max_matching(g, sides) == sorted(match_l.items()), (n, p, seed)
