@@ -89,7 +89,7 @@ def _emit(report: dict, fmt: str) -> None:
 def _load(path: str, parse) -> tuple[Graph | IntervalModel, list[str]]:
     """The instance and labels that `parse` (`sniff_and_parse` or
     `parse_interval_model`) reads from the file at `path`."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return parse(fh.read())
 
 
@@ -395,7 +395,7 @@ def _selftest_suites(seeds: int):
             c2 = split_partition(g2).clique
             joined = bowtie(g1, c1, g2, c2)
             yield recognize(joined, INTERVAL).member
-            yield model_to_graph(bowtie_model(g1, g2, c1, c2)).edges() == joined.edges()
+            yield model_to_graph(bowtie_model(g1, g2)).edges() == joined.edges()
 
     def duality():
         for s in range(seeds):

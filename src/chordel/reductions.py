@@ -2,7 +2,9 @@
 
 Threshold graphs get explicit interval models; two threshold graphs joined
 clique-to-clique ("bowtie") stay interval, and the model for the join is
-the first model plus a mirrored copy of the second.  The remaining builders
+the first model plus a mirrored copy of the second.  Both model builders
+take the split partition that `require(g, THRESHOLD)` returns, so a join
+is modelled at each factor's degree-test clique.  The remaining builders
 produce the hardness gadget instances: bipartite-to-split completion,
 split-to-interval padding with a complete split graph, and the per-edge
 pattern-copy gadget reducing vertex cover to pattern-free deletion.
@@ -62,18 +64,9 @@ def _raw_threshold_intervals(
     return [spans[v] for v in range(g.n)]
 
 
-def _threshold_partition(g: Graph, part: SplitPartition | None) -> SplitPartition:
-    """`part` after checking it, or the degree-test partition when it is None;
-    either way g must be threshold, else `NotInClassError`."""
-    if part is not None and not is_valid_split_partition(g, part):
-        raise GraphInputError("invalid split partition")
-    checked = require(g, THRESHOLD).partition  # run for a given one too: it shows only split
-    return checked if part is None else part
-
-
-def threshold_interval_model(g: Graph, part: SplitPartition | None = None) -> IntervalModel:
+def threshold_interval_model(g: Graph) -> IntervalModel:
     """Interval model of a threshold graph from its nested neighborhoods."""
-    part = _threshold_partition(g, part)
+    part = require(g, THRESHOLD).partition
     return IntervalModel(tuple(_raw_threshold_intervals(g, part))).normalized()
 
 
@@ -92,24 +85,15 @@ def bowtie(g1: Graph, c1: VertexSet, g2: Graph, c2: VertexSet) -> Graph:
     return add_edges(joined, [(u, v + off) for u in c1 for v in c2])
 
 
-def bowtie_model(
-    g1: Graph,
-    g2: Graph,
-    c1: VertexSet | None = None,
-    c2: VertexSet | None = None,
-) -> IntervalModel:
-    """Interval model of bowtie(g1, g2) for threshold inputs.
+def bowtie_model(g1: Graph, g2: Graph) -> IntervalModel:
+    """Interval model of bowtie(g1, c1, g2, c2) for threshold inputs, where
+    each c is its factor's degree-test clique (`require(g, THRESHOLD)`).
 
     g1 keeps its model; every g2 interval [l, r] is mirrored to
     [L - r, L - l] with L = |I1| + |I2| + 3, so the two clique sides meet in
     the middle and the independent sides stay apart.
     """
-    p1, p2 = (
-        _threshold_partition(
-            g, None if c is None else SplitPartition(vset(c), vset(set(g.vertices()) - set(c)))
-        )
-        for g, c in ((g1, c1), (g2, c2))
-    )
+    p1, p2 = (require(g, THRESHOLD).partition for g in (g1, g2))
     raw1 = _raw_threshold_intervals(g1, p1)
     raw2 = _raw_threshold_intervals(g2, p2)
     big = 2 * (len(p1.independent) + len(p2.independent) + 3)

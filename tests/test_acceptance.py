@@ -197,7 +197,7 @@ def test_criterion_6_bowtie_and_models():
         c2 = split_partition(g2).clique
         joined = bowtie(g1, c1, g2, c2)
         assert recognize(joined, INTERVAL).member
-        assert model_to_graph(bowtie_model(g1, g2, c1, c2)).edges() == joined.edges()
+        assert model_to_graph(bowtie_model(g1, g2)).edges() == joined.edges()
     for s in range(1000):
         g, _ = gen_threshold(_sized(s, 3, 8), s)
         assert model_to_graph(threshold_interval_model(g)).edges() == g.edges()

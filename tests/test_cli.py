@@ -516,6 +516,23 @@ def test_multi_graph_graph6_file_rejected(tmp_path, capsys):
     assert "holds 2 graphs" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, text", [
+    (["recognize", "--class", "interval"], "3 2\n0 1\n1 2\n"),
+    # a star whose centre `a`, the first label, is the one vertex deleted
+    (["solve", "--problem", "interval-to-cluster", "--model"], "a 0 10\nb 1 2\nc 3 4\nd 5 6\n"),
+])
+def test_a_byte_order_mark_is_skipped(argv, text, tmp_path, capsys):
+    # the mark hid an edge list's header from the sniffer, and stuck to a model's first label
+    records = []
+    for name, mark in (("plain", ""), ("marked", "\ufeff")):
+        path = tmp_path / name
+        path.write_text(mark + text, encoding="utf-8")
+        code, recs = run_records(capsys, [*argv, str(path)])
+        assert code == 0
+        records += [{k: v for k, v in rec.items() if k not in ("input", "elapsed_ms")} for rec in recs]
+    assert len(records) == 2 and records[0] == records[1]
+
+
 @pytest.mark.parametrize("edges,named", [
     ("0 1\n1 0\n", "'1' '0'"),
     ("0 1\n0 1\n", "'0' '1'"),

@@ -77,16 +77,9 @@ def test_threshold_model_roundtrip_many():
 def test_threshold_model_rejects_nonthreshold():
     from chordel import NotInClassError
 
-    with pytest.raises(NotInClassError):
-        threshold_interval_model(pat.path_graph(4))
-
-
-def test_threshold_model_checks_the_class_when_given_a_partition():
-    from chordel import NotInClassError, SplitPartition
-
-    # a valid split partition of a graph that is not threshold
+    # P4 is split but not threshold: the refusal names the P4 itself
     with pytest.raises(NotInClassError) as err:
-        threshold_interval_model(pat.path_graph(4), SplitPartition((1, 2), (0, 3)))
+        threshold_interval_model(pat.path_graph(4))
     assert (err.value.witness_name, err.value.witness) == ("p4", (0, 1, 2, 3))
 
 
@@ -124,19 +117,19 @@ def test_bowtie_model_agrees_with_bowtie():
         c1 = split_partition(g1).clique
         c2 = split_partition(g2).clique
         joined = bowtie(g1, c1, g2, c2)
-        m = bowtie_model(g1, g2, c1, c2)
+        m = bowtie_model(g1, g2)
         assert model_to_graph(m).edges() == joined.edges()
 
 
-def test_bowtie_model_two_single_edges_realizes_p4():
+def test_bowtie_model_two_single_edges_realizes_k4():
+    # K2's degree-test clique is both of its vertices, so the join is K4
     e = pat.complete_graph(2)
-    m = bowtie_model(e, e, (0,), (0,))
+    m = bowtie_model(e, e)
     assert m.n == 4
-    assert are_isomorphic(model_to_graph(m), pat.path_graph(4))
+    assert model_to_graph(m).edges() == pat.complete_graph(4).edges()
 
 
-@pytest.mark.parametrize("given_sides", [False, True])
-def test_bowtie_model_recognizes_each_factor_once(given_sides, monkeypatch):
+def test_bowtie_model_recognizes_each_factor_once(monkeypatch):
     from chordel import recognition
 
     calls = []
@@ -149,8 +142,7 @@ def test_bowtie_model_recognizes_each_factor_once(given_sides, monkeypatch):
     monkeypatch.setattr(recognition, "recognize", counted)
     g1, _ = gen_threshold(6, 1)
     g2, _ = gen_threshold(5, 2)
-    sides = (split_partition(g1).clique, split_partition(g2).clique)
-    bowtie_model(g1, g2, *(sides if given_sides else ()))
+    bowtie_model(g1, g2)
     assert calls == ["threshold", "threshold"]
 
 
