@@ -13,6 +13,9 @@ alongside the graph.
 
 graph6 follows the standard bit-level definition (upper triangle, column
 major, 6-bit chunks offset by 63), so output is bit-exact interchange.
+
+`sniff_and_parse` reads a first data line of one token as graph6, which holds
+no whitespace, and any other input as an edge list.
 """
 
 from __future__ import annotations
@@ -52,11 +55,8 @@ def _parse_edge_lines(lines: list[str]) -> tuple[Graph, list[str]]:
     rules and then that pass again.  A self-loop or repeat re-scans for its line."""
     if not lines:
         raise GraphInputError("empty edge-list input")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise GraphInputError(f"header must be 'n m', got {lines[0]!r}")
     try:
-        n, m = int(head[0]), int(head[1])
+        n, m = map(int, lines[0].split())
     except ValueError:
         raise GraphInputError(f"header must be 'n m', got {lines[0]!r}") from None
     if n < 0 or m < 0:
@@ -139,13 +139,14 @@ def write_edge_list(
     return "\n".join(out) + "\n"
 
 
+# graph6's size forms: (how many 126 bytes lead, base-64 digits after them, largest n)
+_G6_SIZE_FORMS = ((0, 1, 62), (1, 3, 258047), (2, 6, 68719476735))
+
+
 def _g6_size_bytes(n: int) -> list[int]:
-    if n <= 62:
-        return [n + 63]
-    if n <= 258047:
-        return [126, ((n >> 12) & 63) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63]
-    if n <= 68719476735:
-        return [126, 126] + [((n >> s) & 63) + 63 for s in (30, 24, 18, 12, 6, 0)]
+    for lead, digits, top in _G6_SIZE_FORMS:
+        if n <= top:
+            return [126] * lead + [((n >> 6 * i) & 63) + 63 for i in reversed(range(digits))]
     raise GraphInputError("graph too large for graph6")
 
 
@@ -173,20 +174,12 @@ def from_graph6(line: str) -> Graph:
             raise GraphInputError(f"invalid graph6 character {ch!r}")
         vals.append(c - 63)
 
-    if vals[0] != 63:
-        n, pos = vals[0], 1
-    elif len(vals) >= 2 and vals[1] != 63:
-        if len(vals) < 4:
-            raise GraphInputError("truncated graph6 size")
-        n = (vals[1] << 12) | (vals[2] << 6) | vals[3]
-        pos = 4
-    else:
-        if len(vals) < 8:
-            raise GraphInputError("truncated graph6 size")
-        n = 0
-        for v in vals[2:8]:
-            n = (n << 6) | v
-        pos = 8
+    # the longest form whose lead bytes are all 126
+    lead, digits, _ = [f for f in _G6_SIZE_FORMS if vals[: f[0]] == [63] * f[0]][-1]
+    pos = lead + digits
+    if len(vals) < pos:
+        raise GraphInputError("truncated graph6 size")
+    n = sum(v << 6 * i for i, v in enumerate(reversed(vals[lead:pos])))
     check_vertex_cap(n)
 
     need = (n * (n - 1) // 2 + 5) // 6
@@ -199,12 +192,11 @@ def from_graph6(line: str) -> Graph:
 
 
 def sniff_and_parse(text: str) -> tuple[Graph, list[str]]:
-    """Parse either format: 'n m' header means edge list, else one graph6 line."""
+    """Parse either format: a one-token first data line is graph6, else an edge list."""
     lines = data_lines(text)
     if not lines:
         raise GraphInputError("empty graph input")
-    head = lines[0].split()
-    if len(head) == 2 and all(t.lstrip("-").isdigit() for t in head):
+    if len(lines[0].split()) != 1:
         return _parse_edge_lines(lines)
     if len(lines) > 1:
         raise GraphInputError(f"graph6 input holds {len(lines)} graphs; give one per file")

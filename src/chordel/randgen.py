@@ -112,11 +112,7 @@ def gen_block(n: int, seed: int = 0) -> Graph:
         attach = rng.randrange(nxt)
         k = rng.randint(1, min(3, n - nxt))
         member = [attach] + list(range(nxt, nxt + k))
-        edges.extend(
-            (min(u, v), max(u, v))
-            for i, u in enumerate(member)
-            for v in member[i + 1 :]
-        )
+        edges.extend((u, v) for i, u in enumerate(member) for v in member[i + 1 :])
         nxt += k
     return Graph.from_edges(n, edges)
 

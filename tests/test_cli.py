@@ -669,6 +669,10 @@ def test_no_input_files_exits_2(argv, capsys):
     (">>graph6<<\n", "empty graph6 string"),
     ("~\n", "truncated graph6 size"),
     ("~A\n", "truncated graph6 size"),
+    # graph6 holds no whitespace, so a first line of several tokens is an edge-list header
+    ("x3 2\n0 1\n1 2\n", "header must be 'n m', got 'x3 2'"),
+    ("3 2 1\n0 1\n", "header must be 'n m', got '3 2 1'"),
+    ("a b\n", "header must be 'n m', got 'a b'"),
 ])
 def test_malformed_size_exits_2(text, error, tmp_path, capsys):
     path = tmp_path / "bad.txt"

@@ -22,6 +22,7 @@ from chordel import (
 import bruteforce as bf
 from bruteforce import random_graph, remove_edges
 import named_graphs as ng
+from chordel.graphio import _g6_size_bytes
 from chordel.graph import (
     add_edges,
     bipartition_classes,
@@ -319,6 +320,29 @@ def test_graph6_against_networkx():
         assert to_graph6(g) == theirs
         back = from_graph6(theirs)
         assert back.edges() == g.edges()
+
+
+def test_graph6_size_field_at_every_form_boundary():
+    g6 = pytest.importorskip("networkx.readwrite.graph6")
+    for n in (0, 1, 62, 63, 258047, 258048, 1 << 20, (1 << 36) - 1):
+        size = _g6_size_bytes(n)
+        assert size == [b + 63 for b in g6.n_to_data(n)]
+        assert g6.data_to_n([b - 63 for b in size]) == (n, [])
+    with pytest.raises(GraphInputError, match="^graph too large for graph6$"):
+        _g6_size_bytes(1 << 36)
+
+
+def test_graph6_size_field_alone_decodes_its_n():
+    # no body bytes follow, so every n whose body is not empty names itself in the error
+    for n in (0, 1):
+        assert from_graph6("".join(map(chr, _g6_size_bytes(n)))) == Graph.from_edges(n, [])
+    for n in (62, 63, 258047, 258048, 1 << 20):
+        expected = f"graph6 body has 0 bytes, expected {(n * (n - 1) // 2 + 5) // 6}"
+        with pytest.raises(GraphInputError, match=f"^{expected}$"):
+            from_graph6("".join(map(chr, _g6_size_bytes(n))))
+    for n in ((1 << 20) + 1, (1 << 36) - 1):
+        with pytest.raises(GraphInputError, match=f"^n = {n} is above the vertex cap"):
+            from_graph6("".join(map(chr, _g6_size_bytes(n))))
 
 
 def test_graph6_large_n_header():

@@ -99,6 +99,12 @@ def test_bowtie_validates_partitions():
         bowtie(pat.path_graph(3), (0, 2), pat.complete_graph(1), (0,))
 
 
+def test_bowtie_refuses_a_side_naming_a_vertex_outside_its_graph():
+    g1 = pat.complete_graph(2)
+    with pytest.raises(GraphInputError, match="^clique side is not a split partition$"):
+        bowtie(g1, (0, g1.n), pat.complete_graph(1), (0,))
+
+
 def test_bowtie_of_thresholds_is_interval():
     for seed in range(100):
         g1, _ = gen_threshold(6, 2 * seed)
