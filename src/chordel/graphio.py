@@ -5,11 +5,12 @@ interval-model files `interval` reads), when tokens are ids and when labels,
 how unnamed vertices are labelled, and which labels can be written.
 
 Edge-list format: the first data line is "n m", followed by m lines "u v".
-Blank lines and lines starting with "#" are ignored.  Endpoints are ids
-exactly when every one is the decimal form of an id in 0..n-1 (no sign, no
-leading zero); otherwise all are labels, re-indexed in sorted order, and
-vertices no edge names get `padding_labels`.  The label list is returned
-alongside the graph.
+Blank lines and lines starting with "#" are ignored.  A header token must
+be the decimal form `str` writes ("+3", "03" and "3_0" are refused), the
+rule ids follow too: endpoints are ids exactly when every one is the
+decimal form of an id in 0..n-1 (no sign, no leading zero); otherwise all
+are labels, re-indexed in sorted order, and vertices no edge names get
+`padding_labels`.  The label list is returned alongside the graph.
 
 graph6 follows the standard bit-level definition (upper triangle, column
 major, 6-bit chunks offset by 63), so output is bit-exact interchange.
@@ -55,8 +56,11 @@ def _parse_edge_lines(lines: list[str]) -> tuple[Graph, list[str]]:
     rules and then that pass again.  A self-loop or repeat re-scans for its line."""
     if not lines:
         raise GraphInputError("empty edge-list input")
-    try:
-        n, m = map(int, lines[0].split())
+    toks = lines[0].split()
+    try:  # each header token is its own decimal form, as an id is
+        n, m = map(int, toks)
+        if [str(n), str(m)] != toks:
+            raise ValueError
     except ValueError:
         raise GraphInputError(f"header must be 'n m', got {lines[0]!r}") from None
     if n < 0 or m < 0:

@@ -5,18 +5,19 @@ not integral, and an integral endpoint never passes through a Fraction: the
 model reader reads a decimal token with `int`, and `IntervalModel` keeps an
 int as it is and converts anything else `Fraction` accepts.  The solvers
 only compare endpoints, so they first rank all 2n of them onto the ints
-1..2n, with ties resolved so that the intersection graph is unchanged (left
-endpoints come before right endpoints at equal coordinates), and sweep over
-those ranks.  The ranked model is in general position: all 2n endpoints
-distinct.  Each solver re-checks its answer on the intersection graph of
-the kept intervals alone.  The cluster solver's window table takes O(n^2)
+1..2n and sweep over those ranks.  Every sweep, the intersection graph's
+included, reads one endpoint order, `_events`: left endpoints come before
+right endpoints at equal coordinates, so the ranks keep the graph.  The
+ranked model is in general position: all 2n endpoints distinct.  Each
+solver re-checks its answer on the intersection graph of the kept
+intervals alone.  The cluster solver's window table takes O(n^2)
 entries, each a bisection and at most one list deletion, in O(n) memory.
 """
 
 from __future__ import annotations
 
 import bisect
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -51,12 +52,8 @@ class IntervalModel:
         return self.intervals[v][1]
 
     def normalized(self) -> "IntervalModel":
-        """Re-space endpoints to 1..2n preserving order and the graph.
-
-        At equal coordinates all left endpoints precede all right endpoints,
-        so touching intervals keep touching; ties within a kind break by
-        vertex id.
-        """
+        """Re-space endpoints to 1..2n in `_events`' sweep order, which
+        keeps the intersection graph."""
         return _prepared(self)[0]
 
 
@@ -68,11 +65,15 @@ def _exact(x) -> int | Fraction:
     return x.numerator if x.denominator == 1 else x
 
 
-def _events(m: IntervalModel) -> list[tuple[int | Fraction, int, int]]:
-    """(coordinate, 0 for left or 1 for right, vertex), in sweep order."""
-    return sorted(
-        (x, kind, v) for v, ends in enumerate(m.intervals) for kind, x in enumerate(ends)
-    )
+def _events(
+    m: IntervalModel, vertices: Iterable[int] | None = None
+) -> list[tuple[int | Fraction, int, int]]:
+    """(coordinate, 0 for left or 1 for right, vertex) over `vertices`, or
+    every vertex, in sweep order: lefts before rights at a shared coordinate,
+    so touching intervals meet, and ties within a kind by vertex id."""
+    if vertices is None:
+        vertices = range(m.n)
+    return sorted((x, kind, v) for v in vertices for kind, x in enumerate(m.intervals[v]))
 
 
 def model_to_graph(m: IntervalModel) -> Graph:
@@ -94,14 +95,14 @@ def _endpoint(tok: str) -> int | Fraction:
     """The exact value of an endpoint token; ValueError when it has none."""
     if (tok[1:] if tok[0] in "+-" else tok).isdecimal():
         return int(tok)
-    if "e" in tok.lower():  # 1e99999999 builds 10**99999999
+    if "e" in tok.lower() or "_" in tok:  # 1e99999999 builds 10**99999999; 1_0 is 10
         raise ValueError
     return Fraction(tok)
 
 
 def parse_interval_model(text: str) -> tuple[IntervalModel, list[str]]:
     """One vertex per line: "label l r", integer or rational endpoints; an
-    exponent ("1e9") is refused."""
+    exponent ("1e9") or an underscore ("1_000") is refused."""
     rows = []
     for line in data_lines(text):
         toks = line.split()
@@ -139,14 +140,9 @@ def max_clique_window(m: IntervalModel, lo, hi) -> VertexSet:
     position attaining the maximum supplies the clique.
     """
     members = [v for v in range(m.n) if lo <= m.left(v) and m.right(v) <= hi]
-    events = []
-    for v in members:
-        events.append((m.left(v), 0, v))
-        events.append((m.right(v), 1, v))
-    events.sort()
     active: set[int] = set()
     best: tuple[int, ...] = ()
-    for _, kind, v in events:
+    for _, kind, v in _events(m, members):
         if kind == 0:
             active.add(v)
             if len(active) > len(best):
@@ -260,8 +256,6 @@ def max_cluster_subgraph(m: IntervalModel) -> VertexSet:
     clique.
     """
     m, lo, hi = _prepared(m)
-    if m.n == 0:
-        return ()
     ends = sorted(hi)
     before = [bisect.bisect_left(ends, x) for x in lo]  # right ends below each left end
     best = [0]

@@ -52,7 +52,7 @@ def gen_threshold(n: int, seed: int = 0) -> tuple[Graph, tuple[str, ...]]:
 def gen_interval_model(n: int, seed: int = 0) -> IntervalModel:
     """n intervals with 2n distinct integer endpoints."""
     rng = random.Random(seed)
-    points = rng.sample(range(1, 4 * n + 1), 2 * n) if n else []
+    points = rng.sample(range(1, 4 * n + 1), 2 * n)
     ivs = []
     for i in range(n):
         a, b = points[2 * i], points[2 * i + 1]
@@ -104,8 +104,6 @@ def gen_chordal(n: int, seed: int = 0) -> Graph:
 def gen_block(n: int, seed: int = 0) -> Graph:
     """Tree of cliques: repeatedly hang a small clique on an existing vertex."""
     rng = random.Random(seed)
-    if n == 0:
-        return Graph.from_edges(0, [])
     edges = []
     nxt = 1
     while nxt < n:

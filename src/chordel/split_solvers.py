@@ -47,7 +47,7 @@ from .recognition import (
 
 
 def _is_degenerate(g: Graph) -> bool:
-    return g.n == 0 or g.m == 0 or g.m == g.n * (g.n - 1) // 2
+    return g.m == 0 or g.m == g.n * (g.n - 1) // 2
 
 
 def _cross_cover(g: Graph, cliq, indep) -> VertexSet:

@@ -437,6 +437,16 @@ def test_solve_interval_problem_with_model(capsys, tmp_path):
     assert recs[0]["k"] == 1 and recs[0]["deleted"] == ["c"]
 
 
+@pytest.mark.parametrize("end", ["1_0", "1_000/3", "1/3_0", "2.5_0"])
+def test_underscore_endpoint_exits_2(end, capsys, tmp_path):
+    """The model grammar has no underscores, though `Fraction` reads 1_0 as 10."""
+    mfile = tmp_path / "us.iv"
+    mfile.write_text(f"a 0 {end}\nb 1 2\n")
+    assert main(["solve", "--problem", "interval-to-cluster", "--model", str(mfile)]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == f"error: bad endpoint in 'a 0 {end}'\n"
+
+
 @pytest.mark.parametrize("end", ["1e400", "2E-3", "1e99999999"])
 def test_exponent_endpoint_exits_2(end, capsys, tmp_path):
     """An exponent is refused where the token is read: 1e99999999 would
@@ -673,10 +683,17 @@ def test_no_input_files_exits_2(argv, capsys):
     ("x3 2\n0 1\n1 2\n", "header must be 'n m', got 'x3 2'"),
     ("3 2 1\n0 1\n", "header must be 'n m', got '3 2 1'"),
     ("a b\n", "header must be 'n m', got 'a b'"),
+    # a header token is its own decimal form, as an id is
+    ("3_0 2\n0 1\n1 2\n", "header must be 'n m', got '3_0 2'"),
+    ("+3 2\n0 1\n1 2\n", "header must be 'n m', got '+3 2'"),
+    ("03 2\n0 1\n1 2\n", "header must be 'n m', got '03 2'"),
+    ("\u0663 2\n0 1\n1 2\n", "header must be 'n m', got '\u0663 2'"),
+    ("-0 0\n", "header must be 'n m', got '-0 0'"),
+    ("-3 2\n0 1\n1 2\n", "negative n or m"),
 ])
 def test_malformed_size_exits_2(text, error, tmp_path, capsys):
     path = tmp_path / "bad.txt"
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     assert main(["recognize", "--class", "split", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == f"error: {error}\n"

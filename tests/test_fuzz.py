@@ -7,9 +7,10 @@ huge ones.  Three properties are checked on every mutated file:
 
 - no exception escapes `cli.main`, and it exits 0, 1 or 2, in both formats;
 - the readers agree with the references in `bruteforce`, except that a
-  padding label no longer repeats an input label, and that an interval
-  endpoint with an exponent is refused (a model the reference reads with
-  one exits 2);
+  padding label no longer repeats an input label, that an edge-list header
+  token must be its own decimal form ("+3" and "03" are refused), and that
+  an interval endpoint with an exponent or an underscore is refused (a
+  model the reference reads with one exits 2);
 - every file `reduce --output` or `generate --output` writes reads back to
   the labelled edge set it was written from, unless the write was refused.
 
@@ -158,12 +159,28 @@ def _labelled_edges(g, labels) -> set:
     return {frozenset((labels[u], labels[v])) for u, v in g.edges()}
 
 
+def _decimal_header(line: str) -> bool:
+    """Whether every token of `line` that `int` reads is its own decimal
+    form, as the reader requires of a header ("+3", "03", "-0", "3_0" and
+    "\u0663" are not)."""
+    for tok in line.split():
+        try:
+            if str(int(tok)) != tok:
+                return False
+        except ValueError:
+            pass
+    return True
+
+
 def _check_graph_reader(text: str) -> None:
     assert data_lines(text) == bf.data_lines_reference(text)
     lines = data_lines(text)
     got, error = _outcome(parse_edge_list, text)
     want, want_error = _outcome(bf.parse_edge_lines_reference, lines)
-    assert error == want_error
+    if lines and not _decimal_header(lines[0]):  # the reference reads what `int` reads
+        assert error == f"GraphInputError: header must be 'n m', got {lines[0]!r}"
+    else:
+        assert error == want_error
     if got is not None:
         (g, labels), (g0, labels0) = got, want
         assert (g.n, g.edges()) == (g0.n, g0.edges())
@@ -244,17 +261,18 @@ def test_edge_list_reader_peaks_below_the_reference(seed):
     assert ours <= 0.7 * reference, (ours, reference)
 
 
-def _exponent(line: str) -> bool:
+def _refused_endpoint(line: str) -> bool:
     toks = line.split()
-    return len(toks) == 3 and "e" in (toks[1] + toks[2]).lower()
+    return len(toks) == 3 and any(c in (toks[1] + toks[2]).lower() for c in "e_")
 
 
 def _check_model_reader(text: str) -> bool:
     """The model reader agrees with the reference, except that it refuses an
-    endpoint with an exponent; True when the reference read such a model."""
+    endpoint with an exponent or an underscore; True when the reference read
+    such a model."""
     got, error = _outcome(parse_interval_model, text)
     want, want_error = _outcome(bf.parse_interval_model_reference, text)
-    if not any(map(_exponent, data_lines(text))):
+    if not any(map(_refused_endpoint, data_lines(text))):
         assert (got, error) == (want, want_error)
         return False
     assert got is None

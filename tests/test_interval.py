@@ -115,12 +115,12 @@ def _read(parse, text):
 def test_endpoint_tokens_read_as_the_reference_reads_them(tok):
     """Integral tokens take the int path and the rest go through Fraction,
     with the reference's values, types and refusals.  `str.isdigit` would
-    accept the superscript two, which int refuses; an exponent is refused
-    on purpose, where the reference reads it."""
+    accept the superscript two, which int refuses; an exponent or an
+    underscore is refused on purpose, where the reference reads it."""
     text = f"a {tok} 10000000000\nb -7 {tok}\n"
     got = _read(parse_interval_model, text)
     want = _read(bf.parse_interval_model_reference, text)
-    if "e" in tok:
+    if "e" in tok or "_" in tok:
         assert got == f"bad endpoint in 'a {tok} 10000000000'"
         return
     assert got == want
@@ -279,6 +279,21 @@ def _mixed_model(seed):
             a, b = F(rng.randint(0, 30), rng.randint(1, 4)), F(rng.randint(0, 30), rng.randint(1, 4))
         ivs.append((min(a, b), max(a, b)))
     return model(*ivs)
+
+
+def test_max_clique_window_matches_reference_on_every_window_of_tied_models():
+    """Shared, touching and point intervals and Fraction endpoints, which
+    the solvers reach only once ranked: every window spanned by two endpoint
+    values holds the clique of the reference sweep."""
+    windows = 0
+    for seed in range(400):
+        m = _mixed_model(seed)
+        ends = sorted({x for iv in m.intervals for x in iv})
+        for i, lo in enumerate(ends):
+            for hi in ends[i:]:
+                assert max_clique_window(m, lo, hi) == bf._window_clique(m, lo, hi), (seed, lo, hi)
+                windows += 1
+    assert windows == 23859
 
 
 def test_interval_solvers_match_reference_sweeps():
